@@ -10,7 +10,13 @@
 //!   semi-naive evaluation, magic sets on/off);
 //! * `scaling` — the recursive queries swept across SNB scale factors, so
 //!   evaluation improvements show as curves rather than points; includes
-//!   the `semi-naive-t{1,2,4,8}` thread sweep of the parallel evaluator.
+//!   the `semi-naive-t{1,2,4,8}` thread sweep of the parallel evaluator;
+//! * `ivm` — incremental maintenance of a standing reachability view under
+//!   edge churn against a warm recompute (asserts the small-batch speedup
+//!   in quick mode);
+//! * `durability` — checkpoint, WAL append and cold open of a durable
+//!   store, and the snapshot-load vs regenerate speedup (asserted in quick
+//!   mode).
 //!
 //! `table1` and `scaling` also carry `*-warm` variants that execute against
 //! a [`raqlet::PreparedDatabase`], isolating evaluation time from the

@@ -22,7 +22,11 @@ pub struct EvalStats {
     /// Total evaluation rounds across all components (one per non-looping
     /// component; round zero plus every delta round for looping ones).
     pub iterations: usize,
-    /// Total number of rule applications (rule × iteration).
+    /// Total number of rule applications. Evaluation counts one per rule
+    /// per round (per recursive position in semi-naive rounds);
+    /// incremental maintenance counts one per pinned join — per subset of
+    /// changed positions and per insert/delete part — plus one per DRed
+    /// re-derivation check.
     pub rule_applications: usize,
     /// Total tuples derived (including duplicates discarded by set
     /// semantics).

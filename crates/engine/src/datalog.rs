@@ -317,7 +317,6 @@ impl DatalogEngine {
                 "program plan was prepared against a different value dictionary",
             ));
         }
-        let threads = self.config.effective_threads();
         let mut stats = EvalStats { strata: plan.strata.len(), ..Default::default() };
 
         // Ensure every IDB exists (possibly empty) so downstream negation and
@@ -341,7 +340,7 @@ impl DatalogEngine {
             if stratum.agg_rules.is_empty() && stratum.sccs.is_empty() {
                 continue;
             }
-            if let Err(e) = self.evaluate_stratum(stratum, db, threads, &mut stats, guard) {
+            if let Err(e) = self.evaluate_stratum(stratum, db, &mut stats, guard) {
                 // Deep checkpoints raise guard trips with empty counters (they
                 // cannot see this run's stats); patch the partials in here so
                 // callers learn how far evaluation got.
@@ -365,7 +364,6 @@ impl DatalogEngine {
         &self,
         stratum: &StratumPlan,
         db: &mut Database,
-        threads: usize,
         stats: &mut EvalStats,
         guard: &QueryGuard,
     ) -> Result<()> {
@@ -375,10 +373,7 @@ impl DatalogEngine {
         // may consume their output). Their output is published immediately.
         for plan in &stratum.agg_rules {
             guard.checkpoint(CheckPoint::Scc)?;
-            stats.rule_applications += 1;
-            let derived = self.apply_rule(plan, db, None, threads, stats, guard)?;
-            stats.tuples_derived += derived.rows;
-            publish_derived(plan, db, derived)?;
+            self.fire(plan, db, None, false, stats, guard)?;
         }
 
         // Components run in dependency order (the condensation of the rule
@@ -391,96 +386,71 @@ impl DatalogEngine {
             stats.sccs += 1;
             if scc.looping {
                 stats.looping_sccs += 1;
-                self.evaluate_scc_fixpoint(scc, db, threads, stats, guard)?;
+                self.evaluate_scc_fixpoint(scc, db, stats, guard)?;
             } else {
                 // Non-looping component: every rule reads only fully
                 // computed relations, so one application per rule derives
                 // the complete result — publish directly, no delta
                 // machinery.
                 for plan in &scc.rules {
-                    stats.rule_applications += 1;
-                    let derived = self.apply_rule(plan, db, None, threads, stats, guard)?;
-                    stats.tuples_derived += derived.rows;
-                    publish_derived(plan, db, derived)?;
+                    self.fire(plan, db, None, false, stats, guard)?;
                 }
                 stats.iterations += 1;
                 // Lattice publication announces improvements in the next
                 // delta; drop that bookkeeping — nothing iterates here.
-                for name in &scc.relations {
-                    if let Some(rel) = db.get_mut(name) {
-                        rel.clear_rounds();
-                    }
-                }
+                clear_rounds(db, &scc.relations);
             }
         }
 
         // Leave the relations in a clean full-set-only state so frontier
         // bookkeeping never leaks into later strata or into the results.
-        for name in &stratum.relations {
-            if let Some(rel) = db.get_mut(name) {
-                rel.clear_rounds();
-            }
-        }
-
+        clear_rounds(db, &stratum.relations);
         Ok(())
     }
 
-    /// Iterate one looping component to fixpoint. The frontier (delta)
-    /// bookkeeping is confined to the component's own relations, and only
-    /// the component's rules are re-applied per round.
+    /// Iterate one looping component to fixpoint. Round zero evaluates
+    /// every rule of the component against the full database, staging its
+    /// derivations inside the head relations; [`DatalogEngine::run_rounds`]
+    /// publishes them as the first delta and iterates from there.
     pub(crate) fn evaluate_scc_fixpoint(
         &self,
         scc: &SccPlan,
         db: &mut Database,
-        threads: usize,
         stats: &mut EvalStats,
         guard: &QueryGuard,
     ) -> Result<()> {
-        // Round zero: evaluate every rule of the component against the full
-        // database, staging derivations inside the head relations. Advancing
-        // publishes them and makes them the first delta.
         for plan in &scc.rules {
-            stats.rule_applications += 1;
-            let derived = self.apply_rule(plan, db, None, threads, stats, guard)?;
-            stats.tuples_derived += derived.rows;
-            stage_derived(plan, db, derived)?;
+            self.fire(plan, db, None, true, stats, guard)?;
         }
-        stats.iterations += 1;
-        for name in &scc.relations {
-            if let Some(rel) = db.get_mut(name) {
-                rel.advance();
-            }
-        }
-
-        self.scc_delta_rounds(scc, db, threads, stats, guard)?;
-
-        for name in &scc.relations {
-            if let Some(rel) = db.get_mut(name) {
-                rel.clear_rounds();
-            }
-        }
-        Ok(())
+        self.run_rounds(scc, db, stats, guard)
     }
 
-    /// Run a looping component's delta rounds to fixpoint, starting from the
-    /// deltas its relations currently expose (for normal evaluation, the
-    /// result of the round-zero [`Relation::advance`]; for incremental
-    /// maintenance, a frontier seeded from an external delta batch). The
-    /// caller owns [`Relation::clear_rounds`].
-    pub(crate) fn scc_delta_rounds(
+    /// Publish the rows staged in a component's relations as one round and,
+    /// for a looping component, run its delta rounds to fixpoint; then drop
+    /// the round bookkeeping. The staged rows are round zero of normal
+    /// evaluation, or a frontier seeded by incremental maintenance. The
+    /// frontier (delta) bookkeeping is confined to the component's own
+    /// relations, and only the component's rules are re-applied per round.
+    pub(crate) fn run_rounds(
         &self,
         scc: &SccPlan,
         db: &mut Database,
-        threads: usize,
         stats: &mut EvalStats,
         guard: &QueryGuard,
     ) -> Result<()> {
-        let mut any_new =
-            scc.relations.iter().any(|name| db.get(name).is_some_and(|r| !r.delta_is_empty()));
-
-        // Fixpoint rounds: each recursive atom occurrence drives one
-        // delta-first join against the persistent indexes on the stable sets.
-        while any_new {
+        loop {
+            stats.iterations += 1;
+            let mut any_new = false;
+            for name in &scc.relations {
+                if let Some(rel) = db.get_mut(name) {
+                    any_new |= rel.advance() > 0;
+                }
+            }
+            if !any_new || !scc.looping {
+                break;
+            }
+            // Each recursive atom occurrence drives one delta-first join
+            // against the persistent indexes on the stable sets.
             guard.checkpoint(CheckPoint::FixpointRound)?;
             check_db_memory(guard, db)?;
             for plan in &scc.rules {
@@ -489,10 +459,7 @@ impl DatalogEngine {
                 }
                 match self.config.strategy {
                     EvalStrategy::Naive => {
-                        stats.rule_applications += 1;
-                        let derived = self.apply_rule(plan, db, None, threads, stats, guard)?;
-                        stats.tuples_derived += derived.rows;
-                        stage_derived(plan, db, derived)?;
+                        self.fire(plan, db, None, true, stats, guard)?;
                     }
                     EvalStrategy::SemiNaive => {
                         // One evaluation per recursive atom occurrence,
@@ -504,76 +471,84 @@ impl DatalogEngine {
                                 }
                                 _ => true,
                             };
-                            if delta_empty {
-                                continue;
+                            if !delta_empty {
+                                self.fire(plan, db, Some(pos), true, stats, guard)?;
                             }
-                            stats.rule_applications += 1;
-                            let derived =
-                                self.apply_rule(plan, db, Some(pos), threads, stats, guard)?;
-                            stats.tuples_derived += derived.rows;
-                            stage_derived(plan, db, derived)?;
                         }
                     }
                 }
             }
-            stats.iterations += 1;
-            any_new = false;
-            for name in &scc.relations {
-                if let Some(rel) = db.get_mut(name) {
-                    any_new |= rel.advance() > 0;
-                }
-            }
         }
+        clear_rounds(db, &scc.relations);
         Ok(())
     }
 
+    /// One counted rule application: [`DatalogEngine::apply_rule`], then
+    /// [`store_derived`] into the head relation (staged for the next
+    /// [`Relation::advance`] when `stage`, else published). Returns the
+    /// derived rows.
+    pub(crate) fn fire(
+        &self,
+        plan: &RulePlan,
+        db: &mut Database,
+        delta_pos: Option<usize>,
+        stage: bool,
+        stats: &mut EvalStats,
+        guard: &QueryGuard,
+    ) -> Result<Derived> {
+        stats.rule_applications += 1;
+        let derived = self.apply_rule(plan, db, delta_pos, stats, guard)?;
+        stats.tuples_derived += derived.rows;
+        store_derived(plan, db, &derived, stage)?;
+        Ok(derived)
+    }
+
     /// Evaluate one rule, returning the derived head rows (packed). When
-    /// `delta_pos` is given, the positive atom at that body position scans
-    /// the relation's delta (its previous-round frontier) instead of the
-    /// full set, and drives the join from it. The driving scan — the delta,
-    /// or in round zero the full arena of the first atom when it carries no
-    /// bound columns — is partitioned across worker threads when it is large
+    /// `delta_pos` is given, the positive atom at that body position is
+    /// pinned to the relation's delta (its previous-round frontier) and
+    /// drives the join. In round zero the full arena of the first atom in
+    /// the order drives it, when that atom carries no bound columns. The
+    /// driving pin is partitioned across worker threads when it is large
     /// enough.
     pub(crate) fn apply_rule(
         &self,
         plan: &RulePlan,
         db: &Database,
         delta_pos: Option<usize>,
-        threads: usize,
         stats: &mut EvalStats,
         guard: &QueryGuard,
     ) -> Result<Derived> {
         // The join order and probe-column schedule were computed once at
         // compile time ([`RulePlan::compile`]); every index they name was
         // materialized up front by [`DatalogEngine::evaluate_plan`]. The
-        // join therefore needs only `&Database`, so scan chunks can be
+        // join therefore needs only `&Database`, so pin chunks can be
         // evaluated concurrently on scoped worker threads.
         let schedule = plan.schedule_for(delta_pos);
-        let order: &[usize] = &schedule.order;
-        let prep: &JoinPrep = &schedule.prep;
 
-        // The driving scan: the delta slice for delta-driven applications;
+        // The driving pin: the delta slice for delta-driven applications;
         // for round-zero (and aggregate/naive) applications, the full arena
         // of the first atom in the order — but only when that atom carries
-        // no bound columns (otherwise the sequential path probes its index,
-        // which a partitioned scan could not reproduce order-for-order).
-        let scan: Option<Scan> = match delta_pos {
+        // no bound columns (otherwise the join probes its index, which a
+        // partitioned scan could not reproduce order-for-order). Either way
+        // the pinned atom is the schedule's first, so binding it first keeps
+        // the compiled order.
+        let pin: Option<Pin> = match delta_pos {
             Some(pos) => {
                 let PlanElem::Atom(atom) = &plan.body[pos] else {
                     unreachable!("delta position always names a positive atom")
                 };
-                db.get(&atom.relation).map(|r| Scan {
+                db.get(&atom.relation).map(|r| Pin {
                     pos,
                     rows: r.delta_cells(),
                     stride: r.stride(),
                 })
             }
-            None => order.first().and_then(|&pos| {
+            None => schedule.order.first().and_then(|&pos| {
                 let PlanElem::Atom(atom) = &plan.body[pos] else { return None };
-                if !prep.atom_columns[pos].is_empty() {
+                if !schedule.prep.atom_columns[pos].is_empty() {
                     return None;
                 }
-                db.get(&atom.relation).map(|r| Scan {
+                db.get(&atom.relation).map(|r| Pin {
                     pos,
                     rows: r.full_cells(),
                     stride: r.stride(),
@@ -581,24 +556,25 @@ impl DatalogEngine {
             }),
         };
 
-        if let Some(scan) = &scan {
-            let nrows = scan.rows.len() / scan.stride;
+        if let Some(pin) = &pin {
+            let nrows = pin.rows.len() / pin.stride;
             // Cap the worker count so every chunk carries at least
-            // `parallel_threshold` scan rows: spawning a scoped thread for a
-            // handful of rows costs more than joining them.
+            // `parallel_threshold` pinned rows: spawning a scoped thread for
+            // a handful of rows costs more than joining them.
+            let threads = self.config.effective_threads();
             let workers = threads.min(nrows / self.config.parallel_threshold.max(1)).max(1);
             if workers > 1 && plan.agg.is_none() {
                 let chunk_rows = nrows.div_ceil(workers);
                 let mut results: Vec<Result<Derived>> = Vec::new();
                 std::thread::scope(|s| {
-                    let handles: Vec<_> = scan
+                    let handles: Vec<_> = pin
                         .rows
-                        .chunks(chunk_rows * scan.stride)
+                        .chunks(chunk_rows * pin.stride)
                         .map(|slice| {
-                            let piece = Scan { pos: scan.pos, rows: slice, stride: scan.stride };
+                            let piece = Pin { pos: pin.pos, rows: slice, stride: pin.stride };
                             s.spawn(move || {
                                 guard.checkpoint(CheckPoint::ParallelChunk)?;
-                                derive_rows(plan, db, order, prep, Some(piece), guard)
+                                derive(plan, db, schedule, &[piece], &[], guard)
                             })
                         })
                         .collect();
@@ -642,20 +618,19 @@ impl DatalogEngine {
                 return Ok(out);
             }
         }
-        let out = derive_rows(plan, db, order, prep, scan, guard)?;
+        let out = derive(plan, db, schedule, pin.as_slice(), &[], guard)?;
         guard.add_tuples(out.rows);
         Ok(out)
     }
 }
 
-/// One contiguous slice of stride-wide packed rows driving a rule
-/// application (a delta snapshot or a chunk of a relation's arena; arena
-/// slices may contain tombstoned rows, which the join skips).
-#[derive(Clone, Copy)]
-struct Scan<'a> {
-    pos: usize,
-    rows: &'a [Cell],
-    stride: usize,
+/// Drop the round (delta and staging) bookkeeping of the named relations.
+fn clear_rounds(db: &mut Database, relations: &[String]) {
+    for name in relations {
+        if let Some(rel) = db.get_mut(name) {
+            rel.clear_rounds();
+        }
+    }
 }
 
 /// Packed head rows derived by one rule application: `rows` stride-wide
@@ -667,24 +642,27 @@ pub(crate) struct Derived {
 }
 
 impl Derived {
-    pub(crate) fn new(stride: usize) -> Derived {
+    fn new(stride: usize) -> Derived {
         Derived { cells: Vec::new(), rows: 0, stride }
     }
 }
 
-/// Evaluate one rule application on the current thread: join the body (the
-/// driving atom, if any, scanning only the given slice of packed rows) and
-/// instantiate or aggregate the head. Requires every index the join order
-/// probes to exist already (see `plan_join`).
-fn derive_rows(
+/// Derive head rows on the current thread: [`join`] the body through
+/// `schedule` with the given pins, then instantiate the head once per
+/// binding, or aggregate the bindings when the rule aggregates. Every rule
+/// application — evaluation's sequential path, each parallel chunk, and
+/// every incremental-maintenance join that produces rows — goes through
+/// here. Requires every index the schedule probes to exist already (see
+/// [`DatalogEngine::evaluate_plan`]).
+pub(crate) fn derive(
     plan: &RulePlan,
     db: &Database,
-    order: &[usize],
-    prep: &JoinPrep,
-    scan: Option<Scan>,
+    schedule: &JoinSchedule,
+    pins: &[Pin],
+    skip_negations: &[usize],
     guard: &QueryGuard,
 ) -> Result<Derived> {
-    let bindings = join_body(plan, db, order, prep, scan, guard)?;
+    let bindings = join(plan, db, schedule, pins, None, skip_negations, guard)?;
     match &plan.agg {
         None => {
             let mut out = Derived::new(plan.head_stride());
@@ -698,20 +676,59 @@ fn derive_rows(
     }
 }
 
-/// Join the positive atoms in the prepared order, apply constraints and
-/// negation, and return the slot environments satisfying the body. Read-only
-/// over the database: every index this probes was built by `plan_join`, so
-/// this is safe to run concurrently over disjoint scan slices.
-fn join_body(
+/// One pinned body position of a join: the atom at `pos` — positive, or
+/// negated for incremental maintenance's negation seeding — ranges over the
+/// given packed rows instead of its stored relation. The rows are a delta
+/// snapshot, an arena chunk (which may hold tombstoned rows, skipped by the
+/// join) or an incremental-maintenance change set.
+#[derive(Clone, Copy)]
+pub(crate) struct Pin<'a> {
+    /// Body position of the pinned atom.
+    pub(crate) pos: usize,
+    /// The stride-wide packed rows the atom ranges over.
+    pub(crate) rows: &'a [Cell],
+    /// Row stride of `rows`.
+    pub(crate) stride: usize,
+}
+
+/// The one join of the Datalog engine: join a rule body through a compiled
+/// `schedule`, apply its constraints and negations, and return the slot
+/// environments satisfying it. Read-only over the database — every index
+/// the schedule probes was materialized by [`DatalogEngine::evaluate_plan`]
+/// (or [`crate::PreparedDatabase::install_view`] for the maintenance
+/// schedules) — so it is safe to run concurrently over disjoint pin chunks.
+///
+/// Pinned atoms bind first, in pin order (cross product across pins); every
+/// other positive atom then probes the database's current state in the
+/// schedule's order. Evaluation pins at most one atom — the delta or
+/// round-zero chunk, which the schedule already orders first. Incremental
+/// maintenance pins the net changes of the signed multilinear delta
+/// expansion, DRed's over-deletion and insert propagation, and passes the
+/// schedule compiled for its first pinned positive atom: pre-binding extra
+/// pins only grows the bound-variable set, and a probe column set is sound
+/// under any superset of the bindings it was planned for.
+///
+/// `skip_negations` suppresses the negation checks at the given body
+/// indices — DRed over-deletion skips every negation over a changed
+/// relation (the old state may have satisfied it), and seeding from a
+/// freshly inserted negated row skips its own position (the check would
+/// veto every binding it produced). `init` replaces the initial unbound
+/// environment (DRed's backward re-derivation check seeds it from a
+/// candidate head row); all initial environments must bind the same slots.
+///
+/// Environments are returned with multiplicity (one per derivation path),
+/// which is exactly what derivation counting needs; set-semantics callers
+/// deduplicate at staging time.
+pub(crate) fn join(
     plan: &RulePlan,
     db: &Database,
-    order: &[usize],
-    prep: &JoinPrep,
-    scan: Option<Scan>,
+    schedule: &JoinSchedule,
+    pins: &[Pin],
+    init: Option<Vec<Env>>,
+    skip_negations: &[usize],
     guard: &QueryGuard,
 ) -> Result<Vec<Env>> {
-    let mut envs: Vec<Env> = vec![vec![UNBOUND_CELL; plan.nvars]];
-
+    let mut envs: Vec<Env> = init.unwrap_or_else(|| vec![vec![UNBOUND_CELL; plan.nvars]]);
     let mut pending_constraints: Vec<usize> = plan
         .body
         .iter()
@@ -724,13 +741,17 @@ fn join_body(
     // `x = <const expr>` assignments, e.g. magic-seed rules).
     apply_ready_constraints(&mut envs, plan, &mut pending_constraints);
 
-    for &idx in order {
-        let PlanElem::Atom(atom) = &plan.body[idx] else { continue };
-        let scan_here = match &scan {
-            Some(s) if s.pos == idx => Some(*s),
-            _ => None,
+    let pinned = pins.iter().map(|pin| (pin.pos, Some(*pin)));
+    let probed = schedule
+        .order
+        .iter()
+        .filter(|&&idx| !pins.iter().any(|p| p.pos == idx))
+        .map(|&idx| (idx, None));
+    for (idx, pin) in pinned.chain(probed) {
+        let (PlanElem::Atom(atom) | PlanElem::Negated(atom)) = &plan.body[idx] else {
+            return Err(RaqletError::execution("pinned position must name an atom"));
         };
-        envs = extend_with_atom(envs, atom, db, scan_here, &prep.atom_columns[idx], guard)?;
+        envs = extend_with_atom(envs, atom, db, pin, &schedule.prep.atom_columns[idx], guard)?;
         if envs.is_empty() {
             return Ok(Vec::new());
         }
@@ -754,132 +775,6 @@ fn join_body(
     }
 
     // Negation.
-    for (idx, elem) in plan.body.iter().enumerate() {
-        let PlanElem::Negated(atom) = elem else { continue };
-        apply_negation(&mut envs, atom, db, prep.negation_columns[idx].as_deref());
-        if envs.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-    Ok(envs)
-}
-
-/// One pinned body position of an incremental-maintenance join: the positive
-/// (or, for negation seeding, negated) atom at `pos` ranges over the given
-/// packed rows instead of its stored relation.
-#[derive(Clone, Copy)]
-pub(crate) struct Pin<'a> {
-    /// Body position of the pinned atom.
-    pub(crate) pos: usize,
-    /// The stride-wide packed rows the atom ranges over.
-    pub(crate) rows: &'a [Cell],
-    /// Row stride of `rows`.
-    pub(crate) stride: usize,
-}
-
-/// Join a rule body with selected positive atom positions *pinned* to
-/// explicit delta-row slices: each pinned atom ranges over its `Pin`'s rows
-/// (cross-product across pins), while every remaining atom probes the
-/// database's current state. This is the incremental-maintenance work-horse:
-/// the signed multilinear delta expansion of counting maintenance, DRed
-/// over-deletion and insert propagation all reduce to pinned joins.
-///
-/// `neg_seed` optionally seeds the environments from rows of the *negated*
-/// atom at its position (deriving what a change to a negated relation gains
-/// or loses). `skip_negations` suppresses the negation checks at the given
-/// body indices — DRed over-deletion skips every negation over a changed
-/// relation (the old state may have satisfied it), and insert seeding from a
-/// freshly inserted negated row skips its own position (the check would veto
-/// every binding it produced). `init` replaces the initial unbound
-/// environment (DRed's backward re-derivation check seeds it from a
-/// candidate head row); all initial environments must bind the same slots.
-///
-/// Environments are returned with multiplicity (one per derivation path),
-/// which is exactly what derivation counting needs; set-semantics callers
-/// deduplicate at staging time.
-pub(crate) fn join_body_pinned(
-    plan: &RulePlan,
-    db: &Database,
-    pins: &[Pin],
-    neg_seed: Option<Pin>,
-    skip_negations: &[usize],
-    init: Option<Vec<Env>>,
-    guard: &QueryGuard,
-) -> Result<Vec<Env>> {
-    let mut envs: Vec<Env> = init.unwrap_or_else(|| vec![vec![UNBOUND_CELL; plan.nvars]]);
-    let mut pending_constraints: Vec<usize> = plan
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| matches!(e, PlanElem::Constraint { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    apply_ready_constraints(&mut envs, plan, &mut pending_constraints);
-
-    // Bind the seed rows first (every pinned atom behaves like a driving
-    // scan), so the remaining atoms join with at least the schedule's
-    // assumed bindings in place.
-    if let Some(seed) = neg_seed {
-        let PlanElem::Negated(atom) = &plan.body[seed.pos] else {
-            return Err(RaqletError::execution("negation seed must name a negated atom"));
-        };
-        let scan = Scan { pos: seed.pos, rows: seed.rows, stride: seed.stride };
-        envs = extend_with_atom(envs, atom, db, Some(scan), &[], guard)?;
-        if envs.is_empty() {
-            return Ok(Vec::new());
-        }
-        apply_ready_constraints(&mut envs, plan, &mut pending_constraints);
-    }
-    for pin in pins {
-        let PlanElem::Atom(atom) = &plan.body[pin.pos] else {
-            return Err(RaqletError::execution("pinned position must name a positive atom"));
-        };
-        let scan = Scan { pos: pin.pos, rows: pin.rows, stride: pin.stride };
-        envs = extend_with_atom(envs, atom, db, Some(scan), &[], guard)?;
-        if envs.is_empty() {
-            return Ok(Vec::new());
-        }
-        apply_ready_constraints(&mut envs, plan, &mut pending_constraints);
-        if envs.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-
-    // Extend over the unpinned atoms in a compiled order. Driving from the
-    // first pin's schedule keeps its probe columns valid: pre-binding extra
-    // pins only grows the bound-variable set, and a probe column set is
-    // sound under any superset of the bindings it was planned for.
-    let schedule = match pins.first() {
-        Some(pin) => plan.ivm_schedule_for(pin.pos),
-        None => &plan.base_schedule,
-    };
-    for &idx in &schedule.order {
-        if pins.iter().any(|p| p.pos == idx) {
-            continue;
-        }
-        let PlanElem::Atom(atom) = &plan.body[idx] else { continue };
-        envs = extend_with_atom(envs, atom, db, None, &schedule.prep.atom_columns[idx], guard)?;
-        if envs.is_empty() {
-            return Ok(Vec::new());
-        }
-        apply_ready_constraints(&mut envs, plan, &mut pending_constraints);
-        if envs.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
-
-    if let Some(first) = envs.first() {
-        for &idx in &pending_constraints {
-            let PlanElem::Constraint { lhs, rhs, src, .. } = &plan.body[idx] else { continue };
-            if !expr_ready(first, lhs) || !expr_ready(first, rhs) {
-                return Err(RaqletError::execution(format!(
-                    "constraint `{src}` in rule `{}` references unbound variables",
-                    plan.rule_src
-                )));
-            }
-        }
-    }
-
     for (idx, elem) in plan.body.iter().enumerate() {
         let PlanElem::Negated(atom) = elem else { continue };
         if skip_negations.contains(&idx) {
@@ -1235,7 +1130,7 @@ impl RulePlan {
     // before any evaluation runs; a miss is a plan-construction bug, not a
     // runtime condition.
     #[allow(clippy::expect_used)]
-    fn schedule_for(&self, delta_pos: Option<usize>) -> &JoinSchedule {
+    pub(crate) fn schedule_for(&self, delta_pos: Option<usize>) -> &JoinSchedule {
         match delta_pos {
             None => &self.base_schedule,
             Some(pos) => {
@@ -1266,8 +1161,9 @@ impl RulePlan {
 
     /// The compiled join schedule driving from the positive atom at `pos` —
     /// a recursive (delta) schedule or an incremental-maintenance one.
-    // `collect_ivm_indexes` compiles a schedule for every positive body
-    // position up front; a miss is a plan-construction bug.
+    // Recursive positions carry a delta schedule and every other positive
+    // position a lazily compiled maintenance schedule; a miss is a
+    // plan-construction bug.
     #[allow(clippy::expect_used)]
     pub(crate) fn ivm_schedule_for(&self, pos: usize) -> &JoinSchedule {
         self.delta_schedules
@@ -1278,72 +1174,29 @@ impl RulePlan {
             .expect("every positive body position carries a compiled schedule")
     }
 
-    /// Record the *additional* (relation, probe columns) pairs the
-    /// incremental-maintenance schedules need an index for, beyond what
-    /// [`RulePlan::collect_required_indexes`] already declared.
-    fn collect_ivm_indexes(
-        &self,
-        required: &mut std::collections::BTreeMap<String, std::collections::BTreeSet<Vec<usize>>>,
-    ) {
-        for (_, schedule) in self.ivm_position_schedules() {
-            for (idx, elem) in self.body.iter().enumerate() {
-                match elem {
-                    PlanElem::Atom(atom) => {
-                        let columns = &schedule.prep.atom_columns[idx];
-                        if !columns.is_empty() {
-                            required
-                                .entry(atom.relation.clone())
-                                .or_default()
-                                .insert(columns.clone());
-                        }
-                    }
-                    PlanElem::Negated(atom) => {
-                        if let Some(columns) = &schedule.prep.negation_columns[idx] {
-                            required
-                                .entry(atom.relation.clone())
-                                .or_default()
-                                .insert(columns.clone());
-                        }
-                    }
-                    PlanElem::Constraint { .. } => {}
-                }
-            }
-        }
-    }
-
     /// Record every (relation, probe columns) pair this rule's schedules —
-    /// and its head's lattice merge — need an index for.
-    fn collect_required_indexes(
-        &self,
-        required: &mut std::collections::BTreeMap<String, std::collections::BTreeSet<Vec<usize>>>,
-    ) {
-        let mut from_schedule = |schedule: &JoinSchedule| {
+    /// and its head's lattice merge — need an index for. With `ivm`, the
+    /// per-position incremental-maintenance schedules count too.
+    fn collect_required_indexes(&self, required: &mut IndexRequirements, ivm: bool) {
+        let ivm_schedules: &[(usize, JoinSchedule)] =
+            if ivm { self.ivm_position_schedules() } else { &[] };
+        let schedules = std::iter::once(&self.base_schedule)
+            .chain(self.delta_schedules.iter().chain(ivm_schedules).map(|(_, s)| s));
+        for schedule in schedules {
             for (idx, elem) in self.body.iter().enumerate() {
-                match elem {
+                let (relation, columns) = match elem {
                     PlanElem::Atom(atom) => {
-                        let columns = &schedule.prep.atom_columns[idx];
-                        if !columns.is_empty() {
-                            required
-                                .entry(atom.relation.clone())
-                                .or_default()
-                                .insert(columns.clone());
-                        }
+                        (&atom.relation, Some(&schedule.prep.atom_columns[idx]))
                     }
                     PlanElem::Negated(atom) => {
-                        if let Some(columns) = &schedule.prep.negation_columns[idx] {
-                            required
-                                .entry(atom.relation.clone())
-                                .or_default()
-                                .insert(columns.clone());
-                        }
+                        (&atom.relation, schedule.prep.negation_columns[idx].as_ref())
                     }
-                    PlanElem::Constraint { .. } => {}
+                    PlanElem::Constraint { .. } => continue,
+                };
+                if let Some(columns) = columns.filter(|c| !c.is_empty()) {
+                    required.entry(relation.clone()).or_default().insert(columns.clone());
                 }
             }
-        };
-        from_schedule(&self.base_schedule);
-        for (_, schedule) in &self.delta_schedules {
-            from_schedule(schedule);
         }
         // Lattice heads group on every column except the merge column when
         // tuples are staged/published (see `Relation::lattice_insert_cells`).
@@ -1495,6 +1348,10 @@ pub(crate) struct StratumPlan {
     pub(crate) sccs: Vec<SccPlan>,
 }
 
+/// Per relation, the probe column sets compiled join schedules need an
+/// index over.
+type IndexRequirements = std::collections::BTreeMap<String, std::collections::BTreeSet<Vec<usize>>>;
+
 /// A whole program, validated, stratified and compiled to slot/cell form —
 /// everything [`DatalogEngine::evaluate`] needs that does not depend on the
 /// data. [`crate::PreparedDatabase`] memoizes these per program fingerprint
@@ -1538,10 +1395,7 @@ impl ProgramPlan {
             })
             .collect();
 
-        let mut required: std::collections::BTreeMap<
-            String,
-            std::collections::BTreeSet<Vec<usize>>,
-        > = std::collections::BTreeMap::new();
+        let mut required = IndexRequirements::new();
         let mut strata = Vec::with_capacity(stratification.len());
         for stratum in &stratification.strata {
             let rules: Vec<&Rule> =
@@ -1566,7 +1420,7 @@ impl ProgramPlan {
                         &group.relations,
                         program.lattice_for(&rule.head.relation),
                     );
-                    plan.collect_required_indexes(&mut required);
+                    plan.collect_required_indexes(&mut required, false);
                     if plan.agg.is_some() {
                         agg_rules.push(plan);
                     } else {
@@ -1593,23 +1447,17 @@ impl ProgramPlan {
         &self.required_indexes
     }
 
-    /// The index requirements of incremental maintenance: the union of
-    /// [`ProgramPlan::required_indexes`] and the probe columns of every
+    /// The index requirements of incremental maintenance: those of
+    /// [`ProgramPlan::required_indexes`] plus the probe columns of every
     /// per-position maintenance schedule. Computed on demand — the
     /// per-position schedules are lazy, and only
     /// [`crate::PreparedDatabase::install_view`] (a once-per-view call)
     /// needs this superset.
     pub(crate) fn ivm_required_indexes(&self) -> Vec<(String, Vec<Vec<usize>>)> {
-        let mut required: std::collections::BTreeMap<
-            String,
-            std::collections::BTreeSet<Vec<usize>>,
-        > = std::collections::BTreeMap::new();
-        for (name, sets) in &self.required_indexes {
-            required.entry(name.clone()).or_default().extend(sets.iter().cloned());
-        }
+        let mut required = IndexRequirements::new();
         for stratum in &self.strata {
             for plan in stratum.agg_rules.iter().chain(stratum.sccs.iter().flat_map(|s| &s.rules)) {
-                plan.collect_ivm_indexes(&mut required);
+                plan.collect_required_indexes(&mut required, true);
             }
         }
         required.into_iter().map(|(name, sets)| (name, sets.into_iter().collect())).collect()
@@ -1622,18 +1470,19 @@ impl ProgramPlan {
 }
 
 /// Extend each environment with every tuple of the atom's relation that
-/// matches `atom` under the environment. With a `scan`, the candidate rows
-/// come from the given packed slice (the relation's previous-round frontier,
-/// or an arena chunk in parallel round zero — tombstoned rows are skipped);
-/// otherwise `bound_columns` (the schedule `plan_join` computed, equal to
-/// the columns bound in every environment at this point) probe the
-/// persistent hash index built there, falling back to a scan if absent.
-/// Read-only, so worker threads can share the database.
+/// matches `atom` under the environment. With a pin (`scan`), the candidate
+/// rows come from the pin's packed slice (a delta, an arena chunk in
+/// parallel round zero — tombstoned rows are skipped — or a maintenance
+/// change set); otherwise `bound_columns` (the probe columns
+/// `plan_join_static` compiled, equal to the columns bound in every
+/// environment at this point) probe the persistent hash index that
+/// [`DatalogEngine::evaluate_plan`] materialized, falling back to a scan if
+/// absent. Read-only, so worker threads can share the database.
 fn extend_with_atom(
     envs: Vec<Env>,
     atom: &PlanAtom,
     db: &Database,
-    scan: Option<Scan>,
+    scan: Option<Pin>,
     bound_columns: &[usize],
     guard: &QueryGuard,
 ) -> Result<Vec<Env>> {
@@ -1750,8 +1599,9 @@ fn match_row(env: &Env, atom: &PlanAtom, row: &[Cell]) -> Option<Env> {
 }
 
 /// Filter out environments for which the negated atom matches. When every
-/// variable of the atom is bound (the common, safe case — `plan_join`
-/// passes the probe columns it built an index over), the check is an index
+/// variable of the atom is bound (the common, safe case — the schedule
+/// `plan_join_static` compiled carries the probe columns, whose index
+/// [`DatalogEngine::evaluate_plan`] materialized), the check is an index
 /// probe; otherwise it falls back to a scan with the original
 /// unbound-variable semantics (an unbound variable never matches).
 /// Read-only, so worker threads can share the database.
@@ -1870,7 +1720,7 @@ fn matches_negated(env: &Env, atom: &PlanAtom, relation: &Relation) -> bool {
 
 /// Instantiate the head for one environment, appending the packed row (plus
 /// the nullary pad, if any) to `out`.
-pub(crate) fn instantiate_head(plan: &RulePlan, env: &Env, out: &mut Derived) -> Result<()> {
+fn instantiate_head(plan: &RulePlan, env: &Env, out: &mut Derived) -> Result<()> {
     for t in &plan.head {
         match t {
             PlanTerm::Slot(s) => {
@@ -1969,68 +1819,50 @@ fn aggregate(
     Ok(out)
 }
 
-/// The head's arity conflicts with an existing same-name relation — a
-/// runtime check (not just a debug assert) because schema-less programs can
-/// mix an EDB relation with rules of a different arity, and packed staging
-/// would otherwise misalign the arena.
-fn head_arity_mismatch(plan: &RulePlan, existing: usize) -> RaqletError {
-    RaqletError::execution(format!(
-        "arity mismatch: rule `{}` derives `{}` with arity {}, but the relation has arity {existing}",
-        plan.rule_src, plan.head_relation, plan.head_arity
-    ))
-}
-
-/// Stage freshly derived rows inside their head relation (respecting
-/// lattice annotations). Set-semantics tuples become visible at the next
-/// [`Relation::advance`]; lattice tuples are published immediately (the
-/// improvement must be observable within the round) but are announced in the
-/// next delta all the same.
-pub(crate) fn stage_derived(plan: &RulePlan, db: &mut Database, derived: Derived) -> Result<()> {
+/// Store derived rows in their head relation, respecting lattice
+/// annotations. With `stage`, set-semantics rows are staged and become
+/// visible at the next [`Relation::advance`] (fixpoint rounds); otherwise
+/// they are published immediately (once-evaluated rules, whose output the
+/// rest of the stratum reads). Lattice rows are always published
+/// immediately — the improvement must be observable within the round — and
+/// announced in the next delta all the same.
+pub(crate) fn store_derived(
+    plan: &RulePlan,
+    db: &mut Database,
+    derived: &Derived,
+    stage: bool,
+) -> Result<()> {
     if derived.rows == 0 {
         return Ok(());
     }
     let arity = plan.head_arity;
     let rel = db.get_or_create(&plan.head_relation, arity);
     if rel.arity() != arity {
-        return Err(head_arity_mismatch(plan, rel.arity()));
+        // A runtime check (not just a debug assert) because schema-less
+        // programs can mix an EDB relation with rules of a different arity,
+        // and packed staging would otherwise misalign the arena.
+        return Err(RaqletError::execution(format!(
+            "arity mismatch: rule `{}` derives `{}` with arity {}, but the relation has arity {}",
+            plan.rule_src,
+            plan.head_relation,
+            plan.head_arity,
+            rel.arity()
+        )));
     }
     for row in derived.cells.chunks_exact(derived.stride) {
+        let row = &row[..arity];
         match plan.lattice {
+            LatticeMerge::Set if stage => {
+                rel.stage_cells(row);
+            }
             LatticeMerge::Set => {
-                rel.stage_cells(&row[..arity]);
+                rel.insert_cells(row);
             }
             LatticeMerge::MinOnColumn(col) => {
-                rel.lattice_insert_cells(&row[..arity], col, true);
+                rel.lattice_insert_cells(row, col, true);
             }
             LatticeMerge::MaxOnColumn(col) => {
-                rel.lattice_insert_cells(&row[..arity], col, false);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Publish derived rows immediately (used for the once-evaluated
-/// aggregation rules, whose output the same stratum's fixpoint rules read).
-pub(crate) fn publish_derived(plan: &RulePlan, db: &mut Database, derived: Derived) -> Result<()> {
-    if derived.rows == 0 {
-        return Ok(());
-    }
-    let arity = plan.head_arity;
-    let rel = db.get_or_create(&plan.head_relation, arity);
-    if rel.arity() != arity {
-        return Err(head_arity_mismatch(plan, rel.arity()));
-    }
-    for row in derived.cells.chunks_exact(derived.stride) {
-        match plan.lattice {
-            LatticeMerge::Set => {
-                rel.insert_cells(&row[..arity]);
-            }
-            LatticeMerge::MinOnColumn(col) => {
-                rel.lattice_insert_cells(&row[..arity], col, true);
-            }
-            LatticeMerge::MaxOnColumn(col) => {
-                rel.lattice_insert_cells(&row[..arity], col, false);
+                rel.lattice_insert_cells(row, col, false);
             }
         }
     }
@@ -2368,11 +2200,52 @@ mod tests {
 
     #[test]
     fn stats_are_populated() {
-        let result = DatalogEngine::new().evaluate(&tc_program(), &chain_edges(6)).unwrap();
-        assert!(result.stats.iterations >= 2);
-        assert!(result.stats.rule_applications > 0);
-        assert!(result.stats.tuples_derived >= result.relation("tc").len());
-        assert!(result.stats.strata >= 1);
+        // Exact counters and guard-checkpoint hits for tc over a 6-edge
+        // chain, on one thread and forcibly partitioned over four: a change
+        // to the join or derive path must leave every one of them in place.
+        let sequential = DatalogEngine::with_threads(1);
+        let parallel = DatalogEngine::with_config(
+            DatalogConfig::default().with_threads(4).with_parallel_threshold(1),
+        );
+        let cases = [
+            (
+                sequential,
+                EvalStats {
+                    strata: 1,
+                    sccs: 1,
+                    looping_sccs: 1,
+                    iterations: 7,
+                    rule_applications: 8,
+                    tuples_derived: 21,
+                    parallel_tasks: 0,
+                },
+                7,
+            ),
+            (
+                parallel,
+                EvalStats {
+                    strata: 1,
+                    sccs: 1,
+                    looping_sccs: 1,
+                    iterations: 7,
+                    rule_applications: 8,
+                    tuples_derived: 21,
+                    parallel_tasks: 18,
+                },
+                25,
+            ),
+        ];
+        let db = chain_edges(6);
+        for (engine, expected, checkpoints) in cases {
+            let result = engine.evaluate(&tc_program(), &db).unwrap();
+            assert_eq!(result.relation("tc").len(), 21);
+            assert_eq!(result.stats, expected, "threads {}", engine.config.threads);
+            let hits = crate::fault::count_checkpoints(|g| {
+                engine.evaluate_guarded(&tc_program(), &db, g).map(|_| ())
+            })
+            .unwrap();
+            assert_eq!(hits, checkpoints, "threads {}", engine.config.threads);
+        }
     }
 
     #[test]

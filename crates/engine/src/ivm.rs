@@ -25,13 +25,17 @@
 //!   satisfied them), then re-derive each candidate from surviving support
 //!   via a backward join seeded from the candidate's own head bindings, and
 //!   finally propagate the insert frontier with the scoped semi-naive
-//!   delta rounds (`DatalogEngine::scc_delta_rounds`).
+//!   delta rounds (`DatalogEngine::run_rounds`).
 //! * **Lattice (`@min`/`@max`) SCCs** are maintained monotonically on
 //!   insert-only batches (a better row simply displaces the stored one) and
 //!   fall back to a *scoped recompute* — clear and re-run just that SCC —
 //!   whenever a deletion might have removed a winning row.
 //! * **Aggregating rules** (non-monotone heads) recompute their head
 //!   relation whenever an input changed; the head is typically tiny.
+//!
+//! Every maintenance join is the engine's one `join` / `derive` with the
+//! net changes pinned (see `datalog::join`); this module adds no join loop
+//! of its own.
 //!
 //! Every path reports the derived rows it inserted and retracted as that
 //! relation's net delta, so downstream SCCs see derived changes exactly as
@@ -48,8 +52,8 @@ use raqlet_common::{Database, RaqletError, Result, SupportChange, SupportCounts,
 use raqlet_dlir::LatticeMerge;
 
 use crate::datalog::{
-    instantiate_head, join_body_pinned, publish_derived, stage_derived, DatalogEngine, Derived,
-    Env, EvalStats, Pin, PlanElem, PlanTerm, ProgramPlan, RulePlan, SccPlan, StratumPlan,
+    derive, join, store_derived, DatalogEngine, Derived, Env, EvalStats, Pin, PlanElem, PlanTerm,
+    ProgramPlan, RulePlan, SccPlan, StratumPlan,
 };
 
 /// Above this many changed body positions in one rule, the signed subset
@@ -306,7 +310,6 @@ pub(crate) fn build_support_counts(
     stats: &mut EvalStats,
     guard: &QueryGuard,
 ) -> Result<HashMap<String, SupportCounts>> {
-    let threads = engine.config.effective_threads();
     let mut counts = HashMap::new();
     for stratum in &plan.strata {
         for scc in &stratum.sccs {
@@ -314,17 +317,23 @@ pub(crate) fn build_support_counts(
                 continue;
             }
             for rule in &scc.rules {
-                let derived = engine.apply_rule(rule, db, None, threads, stats, guard)?;
-                let table: &mut SupportCounts =
-                    counts.entry(rule.head_relation.clone()).or_default();
-                let arity = rule.head_arity;
-                for row in derived.cells.chunks_exact(derived.stride) {
-                    table.add(&row[..arity], 1);
-                }
+                let derived = engine.apply_rule(rule, db, None, stats, guard)?;
+                count_support(
+                    counts.entry(rule.head_relation.clone()).or_default(),
+                    rule,
+                    &derived,
+                );
             }
         }
     }
     Ok(counts)
+}
+
+/// Add one derivation per derived row to a counting table.
+fn count_support(table: &mut SupportCounts, rule: &RulePlan, derived: &Derived) {
+    for row in derived.cells.chunks_exact(derived.stride) {
+        table.add(&row[..rule.head_arity], 1);
+    }
 }
 
 /// True when the component is maintained by derivation counting.
@@ -345,33 +354,13 @@ pub(crate) fn maintain(
     stats: &mut EvalStats,
     guard: &QueryGuard,
 ) -> Result<()> {
-    let threads = engine.config.effective_threads();
     let mut changes = edb.clone();
     for stratum in &plan.strata {
         guard.checkpoint(CheckPoint::IvmStep)?;
-        let mut stratum_changed = false;
-        maintain_agg_rules(
-            engine,
-            stratum,
-            db,
-            threads,
-            &mut changes,
-            &mut stratum_changed,
-            stats,
-            guard,
-        )?;
+        let mut stratum_changed =
+            maintain_agg_rules(engine, stratum, db, &mut changes, stats, guard)?;
         for scc in &stratum.sccs {
-            maintain_scc(
-                engine,
-                scc,
-                db,
-                threads,
-                counts,
-                &mut changes,
-                &mut stratum_changed,
-                stats,
-                guard,
-            )?;
+            stratum_changed |= maintain_scc(engine, scc, db, counts, &mut changes, stats, guard)?;
         }
         if stratum_changed {
             stats.strata += 1;
@@ -382,66 +371,56 @@ pub(crate) fn maintain(
 
 /// Aggregating heads are non-monotone under both insertion and deletion
 /// (a count shrinks, a min moves), so any input change recomputes the head
-/// relation in place and reports the row-level diff downstream.
-#[allow(clippy::too_many_arguments)]
+/// relation in place and reports the row-level diff downstream. Returns
+/// whether any head was recomputed.
 fn maintain_agg_rules(
     engine: &DatalogEngine,
     stratum: &StratumPlan,
     db: &mut Database,
-    threads: usize,
     changes: &mut ChangeSet,
-    stratum_changed: &mut bool,
     stats: &mut EvalStats,
     guard: &QueryGuard,
-) -> Result<()> {
-    if stratum.agg_rules.is_empty() {
-        return Ok(());
-    }
+) -> Result<bool> {
     let mut heads: Vec<&str> = Vec::new();
     for rule in &stratum.agg_rules {
         if !heads.contains(&rule.head_relation.as_str()) {
             heads.push(&rule.head_relation);
         }
     }
+    let mut changed = false;
     for head in heads {
         let rules: Vec<&RulePlan> =
             stratum.agg_rules.iter().filter(|r| r.head_relation == head).collect();
         if !rules.iter().any(|r| rule_inputs_changed(r, &[], changes)) {
             continue;
         }
-        *stratum_changed = true;
+        changed = true;
         let old = snapshot_rows(db, head);
         clear_rows(db, head, &old);
         for rule in &rules {
-            stats.rule_applications += 1;
-            let derived = engine.apply_rule(rule, db, None, threads, stats, guard)?;
-            stats.tuples_derived += derived.rows;
-            publish_derived(rule, db, derived)?;
+            engine.fire(rule, db, None, false, stats, guard)?;
         }
         stats.iterations += 1;
-        diff_into_changes(db, head, &old, changes);
+        diff_into_changes(db, head, 0, &old, changes);
     }
-    Ok(())
+    Ok(changed)
 }
 
 /// Dispatch one component to its maintenance strategy (see module docs).
-#[allow(clippy::too_many_arguments)]
+/// Returns whether the component had changed inputs (and so was maintained).
 fn maintain_scc(
     engine: &DatalogEngine,
     scc: &SccPlan,
     db: &mut Database,
-    threads: usize,
     counts: &mut HashMap<String, SupportCounts>,
     changes: &mut ChangeSet,
-    stratum_changed: &mut bool,
     stats: &mut EvalStats,
     guard: &QueryGuard,
-) -> Result<()> {
+) -> Result<bool> {
     if !scc.rules.iter().any(|r| rule_inputs_changed(r, &scc.relations, changes)) {
-        return Ok(());
+        return Ok(false);
     }
     guard.checkpoint(CheckPoint::IvmStep)?;
-    *stratum_changed = true;
     stats.sccs += 1;
     let lattice = scc.rules.iter().any(|r| !matches!(r.lattice, LatticeMerge::Set));
     let neg_changed =
@@ -457,44 +436,45 @@ fn maintain_scc(
                     .any(|&pos| changed_at(r, pos, changes).has_del())
             });
         if has_del {
-            recompute_scc(engine, scc, db, threads, None, changes, stats, guard)
+            recompute_scc(engine, scc, db, None, changes, stats, guard)?;
         } else {
             if scc.looping {
                 stats.looping_sccs += 1;
             }
-            lattice_monotone_scc(engine, scc, db, threads, changes, stats, guard)
+            lattice_monotone_scc(engine, scc, db, changes, stats, guard)?;
         }
     } else if too_wide {
         let counting = counting_managed(scc).then_some(&mut *counts);
         if scc.looping {
             stats.looping_sccs += 1;
         }
-        recompute_scc(engine, scc, db, threads, counting, changes, stats, guard)
+        recompute_scc(engine, scc, db, counting, changes, stats, guard)?;
     } else if scc.looping {
         stats.looping_sccs += 1;
-        if dred_scc(engine, scc, db, threads, changes, stats, guard)? {
-            Ok(())
-        } else {
+        if !dred_scc(engine, scc, db, changes, stats, guard)? {
             // The over-deletion grew past the point where DRed can beat a
             // scoped recompute; marking mutated nothing, so recomputing the
             // component in place is a clean restart.
-            recompute_scc(engine, scc, db, threads, None, changes, stats, guard)
+            recompute_scc(engine, scc, db, None, changes, stats, guard)?;
         }
     } else if neg_changed {
-        recompute_scc(engine, scc, db, threads, Some(counts), changes, stats, guard)
+        recompute_scc(engine, scc, db, Some(counts), changes, stats, guard)?;
     } else {
-        counting_scc(scc, db, counts, changes, stats, guard)
+        counting_scc(scc, db, counts, changes, stats, guard)?;
     }
+    Ok(true)
 }
 
-/// The net change pinned at a positive body position (which
-/// `positive_changed_positions` guaranteed exists).
-// Callers only pass positions returned by `positive_changed_positions`, which
-// filters on exactly this lookup succeeding.
+/// The net change of the relation read at a changed body position (which
+/// `positive_changed_positions` or `negated_changed_positions` guaranteed
+/// exists).
+// Callers only pass positions returned by `positive_changed_positions` or
+// `negated_changed_positions`, which filter on exactly this lookup
+// succeeding.
 #[allow(clippy::expect_used)]
 fn changed_at<'c>(plan: &RulePlan, pos: usize, changes: &'c ChangeSet) -> &'c RelChange {
-    let PlanElem::Atom(atom) = &plan.body[pos] else {
-        unreachable!("changed position must hold a positive atom")
+    let (PlanElem::Atom(atom) | PlanElem::Negated(atom)) = &plan.body[pos] else {
+        unreachable!("changed position must hold an atom")
     };
     changes.changed(&atom.relation).expect("changed position names a changed relation")
 }
@@ -544,6 +524,29 @@ fn negated_changed_positions(plan: &RulePlan, own: &[String], changes: &ChangeSe
         .collect()
 }
 
+/// One counted maintenance join: `rule`'s head rows derived with the given
+/// pins, through the schedule compiled for the first pinned positive atom
+/// (the base schedule when the first pin seeds a negation).
+fn fire_pinned(
+    rule: &RulePlan,
+    db: &Database,
+    pins: &[Pin],
+    skip_negations: &[usize],
+    stats: &mut EvalStats,
+    guard: &QueryGuard,
+) -> Result<Derived> {
+    let schedule = match pins.first() {
+        Some(pin) if matches!(rule.body[pin.pos], PlanElem::Atom(_)) => {
+            rule.ivm_schedule_for(pin.pos)
+        }
+        _ => rule.schedule_for(None),
+    };
+    stats.rule_applications += 1;
+    let derived = derive(rule, db, schedule, pins, skip_negations, guard)?;
+    stats.tuples_derived += derived.rows;
+    Ok(derived)
+}
+
 /// Snapshot a relation's live rows (arity-wide, packed).
 fn snapshot_rows(db: &Database, name: &str) -> Vec<Vec<Cell>> {
     db.get(name).map(|rel| rel.iter_rows().map(|r| r.to_vec()).collect()).unwrap_or_default()
@@ -559,28 +562,32 @@ fn clear_rows(db: &mut Database, name: &str, rows: &[Vec<Cell>]) {
     }
 }
 
-/// Record `name`'s rows-now vs `old` difference as its net change.
-fn diff_into_changes(db: &Database, name: &str, old: &[Vec<Cell>], changes: &mut ChangeSet) {
+/// Record `name`'s net change against `old`, the rows that may have been
+/// stored before and may be gone now: live rows at or after arena offset
+/// `since` (in cells) that `old` does not hold are inserts, rows of `old` no
+/// longer stored are deletes.
+fn diff_into_changes(
+    db: &Database,
+    name: &str,
+    since: usize,
+    old: &[Vec<Cell>],
+    changes: &mut ChangeSet,
+) {
     let Some(rel) = db.get(name) else { return };
     let old_set: FxHashSet<&[Cell]> = old.iter().map(|r| r.as_slice()).collect();
-    let arity = rel.arity();
-    let mut ins: Vec<Vec<Cell>> = Vec::new();
-    for row in rel.iter_rows() {
-        if !old_set.contains(row) {
-            ins.push(row.to_vec());
-        }
-    }
-    let mut del: Vec<&Vec<Cell>> = Vec::new();
-    for row in old {
-        if !rel.contains_cells(row) {
-            del.push(row);
-        }
-    }
+    let (arity, stride) = (rel.arity(), rel.stride());
+    let ins: Vec<&[Cell]> = rel.full_cells()[since..]
+        .chunks_exact(stride)
+        .filter(|row| !is_tombstone(row[0]))
+        .map(|row| &row[..arity])
+        .filter(|row| !old_set.contains(row))
+        .collect();
+    let del: Vec<&Vec<Cell>> = old.iter().filter(|row| !rel.contains_cells(row)).collect();
     if ins.is_empty() && del.is_empty() {
         return;
     }
     let change = changes.entry(name, arity);
-    for row in &ins {
+    for row in ins {
         change.push_ins(row);
     }
     for row in del {
@@ -592,12 +599,10 @@ fn diff_into_changes(db: &Database, name: &str, old: &[Vec<Cell>], changes: &mut
 /// re-run the component's rules (full fixpoint for looping ones), rebuild
 /// its counting tables when it is counting-managed, and report the diff.
 /// The fallback for every case the incremental strategies exclude.
-#[allow(clippy::too_many_arguments)]
 fn recompute_scc(
     engine: &DatalogEngine,
     scc: &SccPlan,
     db: &mut Database,
-    threads: usize,
     mut counts: Option<&mut HashMap<String, SupportCounts>>,
     changes: &mut ChangeSet,
     stats: &mut EvalStats,
@@ -614,28 +619,22 @@ fn recompute_scc(
         }
     }
     if scc.looping {
-        engine.evaluate_scc_fixpoint(scc, db, threads, stats, guard)?;
+        engine.evaluate_scc_fixpoint(scc, db, stats, guard)?;
     } else {
         for rule in &scc.rules {
-            stats.rule_applications += 1;
-            let derived = engine.apply_rule(rule, db, None, threads, stats, guard)?;
-            stats.tuples_derived += derived.rows;
+            let derived = engine.fire(rule, db, None, false, stats, guard)?;
             if let Some(counts) = counts.as_deref_mut() {
-                // The loop right above this one (re)inserted a count table
-                // for every head relation of the component.
-                #[allow(clippy::expect_used)]
-                let table = counts.get_mut(&rule.head_relation).expect("cleared above");
-                let arity = rule.head_arity;
-                for row in derived.cells.chunks_exact(derived.stride) {
-                    table.add(&row[..arity], 1);
-                }
+                count_support(
+                    counts.entry(rule.head_relation.clone()).or_default(),
+                    rule,
+                    &derived,
+                );
             }
-            publish_derived(rule, db, derived)?;
         }
         stats.iterations += 1;
     }
     for (name, old_rows) in &old {
-        diff_into_changes(db, name, old_rows, changes);
+        diff_into_changes(db, name, 0, old_rows, changes);
     }
     Ok(())
 }
@@ -690,13 +689,7 @@ fn counting_scc(
                     continue;
                 }
                 let sign: i64 = if n_ins % 2 == 1 { 1 } else { -1 };
-                stats.rule_applications += 1;
-                let envs = join_body_pinned(rule, db, &pins, None, &[], None, guard)?;
-                stats.tuples_derived += envs.len();
-                let mut derived = Derived::new(rule.head_stride());
-                for env in &envs {
-                    instantiate_head(rule, env, &mut derived)?;
-                }
+                let derived = fire_pinned(rule, db, &pins, &[], stats, guard)?;
                 let arity = rule.head_arity;
                 for row in derived.cells.chunks_exact(derived.stride) {
                     *delta_counts.entry(row[..arity].to_vec()).or_insert(0) += sign;
@@ -742,7 +735,6 @@ fn lattice_monotone_scc(
     engine: &DatalogEngine,
     scc: &SccPlan,
     db: &mut Database,
-    threads: usize,
     changes: &mut ChangeSet,
     stats: &mut EvalStats,
     guard: &QueryGuard,
@@ -755,40 +747,14 @@ fn lattice_monotone_scc(
             if !change.has_ins() {
                 continue;
             }
-            stats.rule_applications += 1;
-            let envs = join_body_pinned(
-                rule,
-                db,
-                &[Pin { pos, rows: &change.ins, stride: change.stride }],
-                None,
-                &[],
-                None,
-                guard,
-            )?;
-            stats.tuples_derived += envs.len();
-            let mut derived = Derived::new(rule.head_stride());
-            for env in &envs {
-                instantiate_head(rule, env, &mut derived)?;
-            }
-            stage_derived(rule, db, derived)?;
+            let pin = Pin { pos, rows: &change.ins, stride: change.stride };
+            let derived = fire_pinned(rule, db, &[pin], &[], stats, guard)?;
+            store_derived(rule, db, &derived, true)?;
         }
     }
-    stats.iterations += 1;
-    for name in &scc.relations {
-        if let Some(rel) = db.get_mut(name) {
-            rel.advance();
-        }
-    }
-    if scc.looping {
-        engine.scc_delta_rounds(scc, db, threads, stats, guard)?;
-    }
-    for name in &scc.relations {
-        if let Some(rel) = db.get_mut(name) {
-            rel.clear_rounds();
-        }
-    }
+    engine.run_rounds(scc, db, stats, guard)?;
     for (name, old_rows) in &old {
-        diff_into_changes(db, name, old_rows, changes);
+        diff_into_changes(db, name, 0, old_rows, changes);
     }
     Ok(())
 }
@@ -843,12 +809,10 @@ fn env_from_head(plan: &RulePlan, row: &[Cell]) -> Option<Env> {
 /// cheaper correct move (DRed's known overshoot on densely connected
 /// components: one cut edge can transitively mark, remove and re-derive the
 /// entire reachable set). The caller falls back to [`recompute_scc`].
-#[allow(clippy::too_many_arguments)]
 fn dred_scc(
     engine: &DatalogEngine,
     scc: &SccPlan,
     db: &mut Database,
-    threads: usize,
     changes: &mut ChangeSet,
     stats: &mut EvalStats,
     guard: &QueryGuard,
@@ -870,22 +834,16 @@ fn dred_scc(
         .filter_map(|n| db.get(n).map(|r| (n.clone(), (r.arity(), r.stride()))))
         .collect();
 
-    // Marks stored rows of `rule`'s head derived by the given environments.
+    // Marks the stored rows among `derived` (head rows of `rule`).
     fn mark(
         db: &Database,
         rule: &RulePlan,
-        envs: &[Env],
+        derived: &Derived,
         cand: &mut HashMap<String, FxHashSet<Vec<Cell>>>,
         frontier: &mut HashMap<String, Vec<Cell>>,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
-        stats.tuples_derived += envs.len();
-        let mut derived = Derived::new(rule.head_stride());
-        for env in envs {
-            instantiate_head(rule, env, &mut derived)?;
-        }
+    ) {
         let name = &rule.head_relation;
-        let Some(rel) = db.get(name) else { return Ok(()) };
+        let Some(rel) = db.get(name) else { return };
         let arity = rule.head_arity;
         // `cand`/`frontier` are seeded with every relation of the component
         // before marking begins; rule heads are component relations.
@@ -900,7 +858,6 @@ fn dred_scc(
                 front.extend_from_slice(row);
             }
         }
-        Ok(())
     }
 
     // Phase 1: seed the over-deletion from external deletes and newly
@@ -921,23 +878,17 @@ fn dred_scc(
                     Pin { pos, rows: &change.del, stride: change.stride }
                 })
                 .collect();
-            stats.rule_applications += 1;
-            let envs = join_body_pinned(rule, db, &pins, None, &skip, None, guard)?;
-            mark(db, rule, &envs, &mut cand, &mut frontier, stats)?;
+            let derived = fire_pinned(rule, db, &pins, &skip, stats, guard)?;
+            mark(db, rule, &derived, &mut cand, &mut frontier);
         }
         for &idx in &skip {
-            let PlanElem::Negated(atom) = &rule.body[idx] else { continue };
-            // `skip` holds positions from `negated_changed_positions`, which
-            // filters on exactly this lookup succeeding.
-            #[allow(clippy::expect_used)]
-            let change = changes.changed(&atom.relation).expect("changed negation");
+            let change = changed_at(rule, idx, changes);
             if !change.has_ins() {
                 continue;
             }
             let seed = Pin { pos: idx, rows: &change.ins, stride: change.stride };
-            stats.rule_applications += 1;
-            let envs = join_body_pinned(rule, db, &[], Some(seed), &skip, None, guard)?;
-            mark(db, rule, &envs, &mut cand, &mut frontier, stats)?;
+            let derived = fire_pinned(rule, db, &[seed], &skip, stats, guard)?;
+            mark(db, rule, &derived, &mut cand, &mut frontier);
         }
     }
 
@@ -962,56 +913,55 @@ fn dred_scc(
                     continue;
                 }
                 let stride = info.get(&atom.relation).map(|&(_, s)| s).unwrap_or(1);
-                stats.rule_applications += 1;
-                let envs = join_body_pinned(
-                    rule,
-                    db,
-                    &[Pin { pos, rows, stride }],
-                    None,
-                    &skip,
-                    None,
-                    guard,
-                )?;
-                mark(db, rule, &envs, &mut cand, &mut frontier, stats)?;
+                let derived =
+                    fire_pinned(rule, db, &[Pin { pos, rows, stride }], &skip, stats, guard)?;
+                mark(db, rule, &derived, &mut cand, &mut frontier);
             }
         }
     }
 
-    // Phase 2: physically retract every candidate.
-    for name in &scc.relations {
-        let set = &cand[name];
-        if set.is_empty() {
+    // Phase 2: physically retract every candidate. From here on the
+    // candidates are kept as row lists, in the marking set's order.
+    let cand: Vec<(String, Vec<Vec<Cell>>)> = scc
+        .relations
+        .iter()
+        .map(|n| {
+            (n.clone(), cand.remove(n).map(|set| set.into_iter().collect()).unwrap_or_default())
+        })
+        .collect();
+    for (name, rows) in &cand {
+        if rows.is_empty() {
             continue;
         }
         // Maintenance moved every component relation into the warm database
         // before this pass (see `PreparedDatabase::apply_delta`).
         #[allow(clippy::expect_used)]
         let rel = db.get_mut(name).expect("component relation");
-        for row in set {
+        for row in rows {
             rel.remove_cells(row);
         }
     }
 
     // Everything phases 3–4 append after this arena mark is a (re-)derived
     // row; the net delta is read off the suffix at the end.
-    let marks: Vec<(String, usize)> = scc
+    let marks: Vec<usize> = scc
         .relations
         .iter()
-        .map(|n| (n.clone(), db.get(n).map(|r| r.full_cells().len()).unwrap_or(0)))
+        .map(|n| db.get(n).map(|r| r.full_cells().len()).unwrap_or(0))
         .collect();
 
     // Phase 3: backward re-derivation checks, then forward propagation of
     // everything that survived.
     let mut refront: HashMap<String, Vec<Cell>> =
         scc.relations.iter().map(|n| (n.clone(), Vec::new())).collect();
-    for name in &scc.relations {
-        let rows: Vec<Vec<Cell>> = cand[name].iter().cloned().collect();
+    for (name, rows) in &cand {
         let (arity, _) = *info.get(name).unwrap_or(&(0, 1));
         for row in rows {
             for rule in scc.rules.iter().filter(|p| p.head_relation == *name) {
-                let Some(env0) = env_from_head(rule, &row) else { continue };
+                let Some(env0) = env_from_head(rule, row) else { continue };
                 stats.rule_applications += 1;
-                let envs = join_body_pinned(rule, db, &[], None, &[], Some(vec![env0]), guard)?;
+                let envs =
+                    join(rule, db, rule.schedule_for(None), &[], Some(vec![env0]), &[], guard)?;
                 if !envs.is_empty() {
                     // Component relations live in the warm database for the
                     // whole pass, and `refront` is seeded with all of them.
@@ -1020,7 +970,7 @@ fn dred_scc(
                     rel.insert_cells(&row[..arity]);
                     #[allow(clippy::expect_used)]
                     let front = refront.get_mut(name).expect("component relation");
-                    RelChange::push_padded(front, &row, arity, arity.max(1));
+                    RelChange::push_padded(front, row, arity, arity.max(1));
                     break;
                 }
             }
@@ -1041,21 +991,8 @@ fn dred_scc(
                     continue;
                 }
                 let stride = info.get(&atom.relation).map(|&(_, s)| s).unwrap_or(1);
-                stats.rule_applications += 1;
-                let envs = join_body_pinned(
-                    rule,
-                    db,
-                    &[Pin { pos, rows, stride }],
-                    None,
-                    &[],
-                    None,
-                    guard,
-                )?;
-                stats.tuples_derived += envs.len();
-                let mut derived = Derived::new(rule.head_stride());
-                for env in &envs {
-                    instantiate_head(rule, env, &mut derived)?;
-                }
+                let derived =
+                    fire_pinned(rule, db, &[Pin { pos, rows, stride }], &[], stats, guard)?;
                 let head = &rule.head_relation;
                 let arity = rule.head_arity;
                 for row in derived.cells.chunks_exact(derived.stride) {
@@ -1083,89 +1020,28 @@ fn dred_scc(
             if !change.has_ins() {
                 continue;
             }
-            stats.rule_applications += 1;
-            let envs = join_body_pinned(
-                rule,
-                db,
-                &[Pin { pos, rows: &change.ins, stride: change.stride }],
-                None,
-                &[],
-                None,
-                guard,
-            )?;
-            stats.tuples_derived += envs.len();
-            let mut derived = Derived::new(rule.head_stride());
-            for env in &envs {
-                instantiate_head(rule, env, &mut derived)?;
-            }
-            stage_derived(rule, db, derived)?;
+            let pin = Pin { pos, rows: &change.ins, stride: change.stride };
+            let derived = fire_pinned(rule, db, &[pin], &[], stats, guard)?;
+            store_derived(rule, db, &derived, true)?;
         }
         for idx in negated_changed_positions(rule, &scc.relations, changes) {
-            let PlanElem::Negated(atom) = &rule.body[idx] else { continue };
-            // `negated_changed_positions` filters on this lookup succeeding.
-            #[allow(clippy::expect_used)]
-            let change = changes.changed(&atom.relation).expect("changed negation");
+            let change = changed_at(rule, idx, changes);
             if !change.has_del() {
                 continue;
             }
             // Seeded from the *deleted* rows of the negated relation; the
             // negation check stays on, verifying the gain in the new state.
             let seed = Pin { pos: idx, rows: &change.del, stride: change.stride };
-            stats.rule_applications += 1;
-            let envs = join_body_pinned(rule, db, &[], Some(seed), &[], None, guard)?;
-            stats.tuples_derived += envs.len();
-            let mut derived = Derived::new(rule.head_stride());
-            for env in &envs {
-                instantiate_head(rule, env, &mut derived)?;
-            }
-            stage_derived(rule, db, derived)?;
+            let derived = fire_pinned(rule, db, &[seed], &[], stats, guard)?;
+            store_derived(rule, db, &derived, true)?;
         }
     }
-    stats.iterations += 1;
-    for name in &scc.relations {
-        if let Some(rel) = db.get_mut(name) {
-            rel.advance();
-        }
-    }
-    engine.scc_delta_rounds(scc, db, threads, stats, guard)?;
-    for name in &scc.relations {
-        if let Some(rel) = db.get_mut(name) {
-            rel.clear_rounds();
-        }
-    }
+    engine.run_rounds(scc, db, stats, guard)?;
 
-    // Net delta: arena-suffix rows not in the candidate set are inserts;
+    // Net delta: arena-suffix rows not among the candidates are inserts;
     // candidates that never came back are deletes.
-    for (name, mark_len) in marks {
-        let Some(rel) = db.get(&name) else { continue };
-        let (arity, stride) = (rel.arity(), rel.stride());
-        let set = &cand[&name];
-        let mut ins: Vec<Vec<Cell>> = Vec::new();
-        for row in rel.full_cells()[mark_len..].chunks_exact(stride) {
-            if is_tombstone(row[0]) {
-                continue;
-            }
-            let key = &row[..arity];
-            if !set.contains(key) {
-                ins.push(key.to_vec());
-            }
-        }
-        let mut del: Vec<&Vec<Cell>> = Vec::new();
-        for row in set {
-            if !rel.contains_cells(row) {
-                del.push(row);
-            }
-        }
-        if ins.is_empty() && del.is_empty() {
-            continue;
-        }
-        let change = changes.entry(&name, arity);
-        for row in &ins {
-            change.push_ins(row);
-        }
-        for row in del {
-            change.push_del(row);
-        }
+    for ((name, rows), mark) in cand.iter().zip(marks) {
+        diff_into_changes(db, name, mark, rows, changes);
     }
     Ok(true)
 }

@@ -3,8 +3,9 @@
 //! Each test pins one classic DRed / counting / lattice trap with a
 //! hand-built fixture small enough to reason about by eye.
 
-use raqlet::{Database, DatalogEngine, EdbDelta, PreparedDatabase, Value};
+use raqlet::{Database, DatalogEngine, EdbDelta, EvalStats, PreparedDatabase, Value};
 use raqlet_dlir::{Atom, BodyElem, DlExpr, DlirProgram, LatticeMerge, Rule};
+use raqlet_engine::fault::count_checkpoints;
 
 fn atom(name: &str, vars: &[&str]) -> BodyElem {
     BodyElem::Atom(Atom::with_vars(name, vars))
@@ -167,6 +168,151 @@ fn deleting_an_absent_row_is_a_no_op_with_zero_stats() {
     assert_eq!(rows(&prepared, view, "tc"), before);
     // The epoch still advances: the delta was accepted, it just changed nothing.
     assert!(prepared.view_epoch(view).unwrap() > epoch_before);
+}
+
+/// `tc` with a negated extensional `blocked` inside both rules.
+fn blocked_tc_program() -> DlirProgram {
+    let mut p = DlirProgram::default();
+    let blocked = || BodyElem::Negated(Atom::with_vars("blocked", &["y"]));
+    p.add_rule(Rule::new(
+        Atom::with_vars("tc", &["x", "y"]),
+        vec![atom("edge", &["x", "y"]), blocked()],
+    ));
+    p.add_rule(Rule::new(
+        Atom::with_vars("tc", &["x", "y"]),
+        vec![atom("tc", &["x", "z"]), atom("edge", &["z", "y"]), blocked()],
+    ));
+    p.add_output("tc");
+    p
+}
+
+/// `@min` shortest hop counts.
+fn dist_program() -> DlirProgram {
+    let mut p = DlirProgram::default();
+    p.add_rule(Rule::new(
+        Atom::with_vars("dist", &["s", "d", "l"]),
+        vec![atom("edge", &["s", "d"]), BodyElem::eq(DlExpr::var("l"), DlExpr::int(1))],
+    ));
+    p.add_rule(Rule::new(
+        Atom::with_vars("dist", &["s", "d", "l"]),
+        vec![
+            atom("dist", &["s", "m", "l0"]),
+            atom("edge", &["m", "d"]),
+            BodyElem::eq(
+                DlExpr::var("l"),
+                DlExpr::Arith {
+                    op: raqlet_dlir::ArithOp::Add,
+                    lhs: Box::new(DlExpr::var("l0")),
+                    rhs: Box::new(DlExpr::int(1)),
+                },
+            ),
+        ],
+    ));
+    p.set_lattice("dist", LatticeMerge::MinOnColumn(2));
+    p.add_output("dist");
+    p
+}
+
+fn stats(
+    strata: usize,
+    sccs: usize,
+    looping_sccs: usize,
+    iterations: usize,
+    rule_applications: usize,
+    tuples_derived: usize,
+) -> EvalStats {
+    EvalStats {
+        strata,
+        sccs,
+        looping_sccs,
+        iterations,
+        rule_applications,
+        tuples_derived,
+        parallel_tasks: 0,
+    }
+}
+
+/// The exact cost of one `apply_delta` per maintenance strategy — counting,
+/// DRed, DRed through a changed negation, lattice-monotone, and DRed's
+/// bail-out to a scoped recompute — as `EvalStats` and as guard-checkpoint
+/// hits. Refactors of the join and derive path must move none of them: the
+/// counters are what the benchmark reports as exact counts, and the
+/// checkpoint sequence is where the fault-injection schedules land.
+#[test]
+fn one_batch_per_strategy_has_pinned_cost() {
+    let mut hop2 = DlirProgram::default();
+    hop2.add_rule(Rule::new(
+        Atom::with_vars("hop2", &["x", "z"]),
+        vec![atom("edge", &["x", "y"]), atom("edge", &["y", "z"])],
+    ));
+    hop2.add_output("hop2");
+    let mut blocked_db = edges(&[(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)]);
+    blocked_db.insert_fact("blocked", vec![Value::Int(3)]).unwrap();
+    let cycle: Vec<(i64, i64)> = (0..8).map(|i| (i, (i + 1) % 8)).collect();
+
+    let mut ins_del = EdbDelta::new();
+    ins_del.delete("edge", pair(1, 2));
+    ins_del.insert("edge", pair(3, 4));
+    let mut block_moves = EdbDelta::new();
+    block_moves.delete("blocked", vec![Value::Int(3)]);
+    block_moves.insert("blocked", vec![Value::Int(2)]);
+    block_moves.insert("edge", pair(4, 0));
+    let mut inserts = EdbDelta::new();
+    inserts.insert("edge", pair(2, 3));
+    inserts.insert("edge", pair(0, 3));
+    let mut cut = EdbDelta::new();
+    cut.delete("edge", pair(0, 1));
+    cut.insert("edge", pair(0, 4));
+
+    let cases = [
+        (
+            "counting",
+            hop2,
+            "hop2",
+            edges(&[(0, 1), (1, 2), (2, 3), (1, 3)]),
+            ins_del.clone(),
+            stats(1, 1, 0, 1, 8, 4),
+            5,
+        ),
+        (
+            "dred",
+            tc_program(),
+            "tc",
+            edges(&[(0, 1), (1, 2), (2, 3), (0, 2)]),
+            ins_del,
+            stats(1, 1, 1, 2, 17, 11),
+            10,
+        ),
+        (
+            "dred-negation",
+            blocked_tc_program(),
+            "tc",
+            blocked_db,
+            block_moves,
+            stats(1, 1, 1, 5, 15, 13),
+            10,
+        ),
+        (
+            "lattice-monotone",
+            dist_program(),
+            "dist",
+            edges(&[(0, 1), (1, 2)]),
+            inserts,
+            stats(1, 1, 1, 2, 3, 4),
+            3,
+        ),
+        ("dred-bail-out", tc_program(), "tc", edges(&cycle), cut, stats(1, 1, 1, 8, 12, 68), 11),
+    ];
+    for (label, program, output, db, delta, expected, checkpoints) in cases {
+        let mut prepared = PreparedDatabase::with_engine(db, DatalogEngine::with_threads(1));
+        prepared.install_view(&program, output).unwrap();
+        let mut counted = prepared.clone();
+        let hits = count_checkpoints(|g| counted.apply_delta_guarded(delta.clone(), g).map(|_| ()))
+            .unwrap();
+        let got = prepared.apply_delta(delta).unwrap();
+        assert_eq!(got, expected, "{label}: EvalStats");
+        assert_eq!(hits, checkpoints, "{label}: guard checkpoints");
+    }
 }
 
 /// A delete and an insert of the same row inside one batch cancel: deletes

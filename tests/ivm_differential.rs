@@ -11,8 +11,10 @@
 //! Fixtures cover each maintenance strategy: non-recursive counting
 //! (multi-rule, multi-stratum), recursive DRed (transitive closure on random
 //! cyclic graphs, mutual recursion), stratified negation over a recursive
-//! relation, `@min` lattice shortest paths, aggregation, and the LDBC
-//! corpus's recursive reachability query over a generated social network.
+//! relation, a negated extensional relation inside a recursive rule (DRed's
+//! negation-seeded joins), `@min` lattice shortest paths, aggregation, and
+//! the LDBC corpus's recursive reachability query over a generated social
+//! network.
 //! The suite runs under whatever `RAQLET_THREADS` setting the environment
 //! provides; CI runs it pinned to one thread and auto-threaded.
 
@@ -344,6 +346,51 @@ fn aggregation_differential() {
 }
 
 #[test]
+fn negated_edb_inside_recursion_differential() {
+    // The negated extensional relation sits *inside* the recursive SCC's
+    // rules, so every `blocked` change reaches DRed's negation-seeded joins:
+    // new blocks seed the over-deletion (phase 1), lifted blocks seed the
+    // insert propagation (phase 4).
+    let mut p = DlirProgram::default();
+    p.add_rule(Rule::new(
+        Atom::with_vars("tc", &["x", "y"]),
+        vec![atom("edge", &["x", "y"]), BodyElem::Negated(Atom::with_vars("blocked", &["y"]))],
+    ));
+    p.add_rule(Rule::new(
+        Atom::with_vars("tc", &["x", "y"]),
+        vec![
+            atom("tc", &["x", "z"]),
+            atom("edge", &["z", "y"]),
+            BodyElem::Negated(Atom::with_vars("blocked", &["y"])),
+        ],
+    ));
+    p.add_output("tc");
+
+    let n = 9i64;
+    let mut total = 0;
+    for seed in 61u64..69 {
+        let mut rng = SplitMix64::seed_from_u64(seed.wrapping_mul(0xB10C));
+        let mut base = random_edge_db(&mut rng, n, 16);
+        base.get_or_create("blocked", 1);
+        base.insert_fact("blocked", vec![Value::Int(rng.gen_range(0..n))]).unwrap();
+        total += differential_run("negated-edb", &p, "tc", &base, seed, 12, &mut |rng, shadow| {
+            let mut ops: Vec<Op> =
+                (0..rng.gen_index(0..4)).map(|_| edge_op(rng, shadow, n)).collect();
+            for _ in 0..rng.gen_index(1..3) {
+                let live = shadow.get("blocked").map(|r| r.sorted()).unwrap_or_default();
+                if !live.is_empty() && rng.gen_bool(0.5) {
+                    ops.push(Op::Delete("blocked", live[rng.gen_index(0..live.len())].clone()));
+                } else {
+                    ops.push(Op::Insert("blocked", vec![Value::Int(rng.gen_range(0..n))]));
+                }
+            }
+            ops
+        });
+    }
+    assert!(total >= 96);
+}
+
+#[test]
 fn ldbc_reachability_differential() {
     // The corpus's recursive query over a generated social network:
     // KNOWS-closure from a fixed person, maintained while friendship edges
@@ -415,6 +462,6 @@ fn suite_covers_at_least_100_batch_sequences() {
     // full property per batch; this meta-pin just re-tallies the batch
     // totals asserted in the individual tests so a future edit cannot
     // silently shrink the suite below the floor.
-    let totals = [40, 40, 30, 32, 30, 20, 12];
+    let totals = [40, 40, 30, 32, 30, 20, 96, 12];
     assert!(totals.iter().sum::<i32>() >= 100);
 }
