@@ -189,11 +189,6 @@ impl CompiledQuery {
         raqlet_unparse::to_souffle(self.dlir(), &SouffleOptions::default())
     }
 
-    /// The Soufflé Datalog rendering of the *unoptimized* program.
-    pub fn to_souffle_unoptimized(&self) -> String {
-        raqlet_unparse::to_souffle(&self.unoptimized, &SouffleOptions::default())
-    }
-
     /// The SQIR form of the optimized program (Figure 3e's structure),
     /// lowered from the SQL-targeted optimization.
     pub fn sqir(&self) -> Result<SqirQuery> {
@@ -203,12 +198,6 @@ impl CompiledQuery {
     /// The SQL text of the optimized program in the given dialect.
     pub fn to_sql(&self, dialect: SqlDialect) -> Result<String> {
         Ok(raqlet_unparse::to_sql(&self.sqir()?, dialect))
-    }
-
-    /// The SQL text of the unoptimized program.
-    pub fn to_sql_unoptimized(&self, dialect: SqlDialect) -> Result<String> {
-        let sqir = raqlet_sqir::lower_to_sqir(&self.unoptimized, &self.output, &self.sql_options)?;
-        Ok(raqlet_unparse::to_sql(&sqir, dialect))
     }
 
     /// The Cypher rendering of the normalised PGIR (round-trip output).
@@ -248,11 +237,6 @@ impl CompiledQuery {
     /// never modified either way.
     pub fn execute_datalog_guarded(&self, db: &Database, guard: &QueryGuard) -> Result<Relation> {
         Ok(DatalogEngine::new().evaluate_guarded(self.dlir(), db, guard)?.relation(&self.output))
-    }
-
-    /// Execute the *unoptimized* program on the Datalog engine.
-    pub fn execute_datalog_unoptimized(&self, db: &Database) -> Result<Relation> {
-        DatalogEngine::new().run_output(&self.unoptimized, db, &self.output)
     }
 
     /// Execute on a warm [`PreparedDatabase`], reusing its row arenas and
@@ -295,14 +279,6 @@ impl CompiledQuery {
         let catalog = TableCatalog::from_schema(&self.dlir_for_sql().schema);
         let engine = SqlEngine { profile };
         Ok(engine.execute_guarded(&sqir, db, &catalog, guard)?.rows)
-    }
-
-    /// Execute the *unoptimized* program on the SQL engine.
-    pub fn execute_sql_unoptimized(&self, db: &Database, profile: SqlProfile) -> Result<Relation> {
-        let sqir = raqlet_sqir::lower_to_sqir(&self.unoptimized, &self.output, &self.sql_options)?;
-        let catalog = TableCatalog::from_schema(&self.unoptimized.schema);
-        let engine = SqlEngine { profile };
-        Ok(engine.execute(&sqir, db, &catalog)?.rows)
     }
 
     /// Execute the original (normalised) query on the property-graph engine
@@ -430,14 +406,16 @@ mod tests {
         let raqlet = Raqlet::from_pg_schema(SCHEMA).unwrap();
         let compiled =
             raqlet.compile(RUNNING_EXAMPLE, &CompileOptions::new(OptLevel::Full)).unwrap();
+        let unoptimized =
+            raqlet.compile(RUNNING_EXAMPLE, &CompileOptions::new(OptLevel::None)).unwrap();
         let db = sample_db();
         assert_eq!(
             compiled.execute_datalog(&db).unwrap(),
-            compiled.execute_datalog_unoptimized(&db).unwrap()
+            unoptimized.execute_datalog(&db).unwrap()
         );
         assert_eq!(
             compiled.execute_sql(&db, SqlProfile::Duck).unwrap(),
-            compiled.execute_sql_unoptimized(&db, SqlProfile::Duck).unwrap()
+            unoptimized.execute_sql(&db, SqlProfile::Duck).unwrap()
         );
         // And the optimizer actually did something.
         assert!(compiled.optimized.rules_after < compiled.optimized.rules_before);

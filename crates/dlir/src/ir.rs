@@ -545,8 +545,8 @@ impl DlirProgram {
         self.annotations.entry(name.into()).or_default().lattice = lattice;
     }
 
-    /// Total number of body atoms across all rules (used as a crude program
-    /// size metric by the optimizer tests and benches).
+    /// Total number of body atoms across all rules (a crude program size
+    /// metric).
     pub fn body_atom_count(&self) -> usize {
         self.rules.iter().map(|r| r.body.iter().filter(|b| b.as_any_atom().is_some()).count()).sum()
     }

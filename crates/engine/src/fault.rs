@@ -9,8 +9,8 @@
 //! a parallel worker chunk, a join-scan tick, an IVM step — and fails it
 //! there. Sweeping seeds sweeps injection points across the whole execution.
 //!
-//! The module is compiled only for tests and benches (`cfg(test)` or the
-//! `fault-inject` feature); release builds of the engine carry none of it.
+//! The module is compiled only for tests (`cfg(test)` or the `fault-inject`
+//! feature); release builds of the engine carry none of it.
 //!
 //! Typical use, from a differential test:
 //!

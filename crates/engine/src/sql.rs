@@ -512,8 +512,8 @@ impl RowLayout {
 /// reference only its alias *before* joining. Without this, literal filters
 /// like `R.id = 42` (which carry no equi-join key) only run after the full
 /// join materialises — the optimizer's constant propagation would make
-/// queries slower on this engine, not faster (the CQ2 pathology recorded in
-/// `BENCH_baseline.json`). Returns one entry per FROM item; `None` means the
+/// queries slower on this engine, not faster (the original CQ2 pathology).
+/// Returns one entry per FROM item; `None` means the
 /// table has no pushable predicate (or is the iteration-variant recursive
 /// working table named by `skip_table`) and should be read as-is.
 fn prefilter_tables(

@@ -38,8 +38,8 @@ pub enum OptLevel {
 /// speed up bottom-up Datalog engines by an order of magnitude, but the
 /// magic predicates turn into extra mutually-recursive CTE branches that
 /// naive recursive-CTE evaluators (the SQL engines) re-join on every
-/// working-table iteration — the CQ2-on-duckdb pathology recorded in
-/// `BENCH_baseline.json`.
+/// working-table iteration — the CQ2-on-duckdb pathology that
+/// `tests/backend_targeting.rs` pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TargetBackend {
     /// No backend commitment: run every pass of the level (the historical

@@ -28,11 +28,8 @@ fn main() -> raqlet::Result<()> {
     let unopt = raqlet.compile(query, &CompileOptions::new(OptLevel::None))?;
     println!("== Figure 3b: PGIR ==\n{}", unopt.pgir);
     println!("== Figure 3c: DLIR rules ==\n{}", unopt.unoptimized);
-    println!("== Figure 3d: generated Soufflé Datalog ==\n{}", unopt.to_souffle_unoptimized());
-    println!(
-        "== Figure 3e: generated SQL ==\n{}\n",
-        unopt.to_sql_unoptimized(SqlDialect::Generic)?
-    );
+    println!("== Figure 3d: generated Soufflé Datalog ==\n{}", unopt.to_souffle());
+    println!("== Figure 3e: generated SQL ==\n{}\n", unopt.to_sql(SqlDialect::Generic)?);
 
     // Optimized versions (Figure 4).
     let basic = raqlet.compile(query, &CompileOptions::new(OptLevel::Basic))?;

@@ -30,7 +30,16 @@ fn median_millis(mut f: impl FnMut(), runs: usize) -> f64 {
 }
 
 fn main() -> raqlet::Result<()> {
-    let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    let scale: f64 = match std::env::args().nth(1) {
+        None => 1.0,
+        Some(arg) => match arg.parse() {
+            Ok(scale) if scale > 0.0 && f64::is_finite(scale) => scale,
+            _ => {
+                eprintln!("usage: table1 [scale]  (a positive number, default 1.0; got `{arg}`)");
+                std::process::exit(2);
+            }
+        },
+    };
     let runs = 3;
     let network = generate(&GeneratorConfig { scale, seed: 42 });
     let db = to_database(&network);
@@ -47,58 +56,27 @@ fn main() -> raqlet::Result<()> {
     );
 
     for query in TABLE1_QUERIES {
-        let options = CompileOptions::new(OptLevel::Full)
-            .with_param("personId", person)
-            .with_param("maxDate", 20_200_101i64);
-        let compiled = raqlet.compile(query.cypher, &options)?;
-
-        for (label, optimized) in [("no", false), ("yes", true)] {
-            let neo4j = if optimized {
-                // The paper runs the original Cypher query on Neo4j only once
-                // (there is no "optimized Cypher" configuration); mirror that.
-                f64::NAN
+        for (label, level) in [("no", OptLevel::None), ("yes", OptLevel::Full)] {
+            let options = CompileOptions::new(level)
+                .with_param("personId", person)
+                .with_param("maxDate", 20_200_101i64);
+            let compiled = raqlet.compile(query.cypher, &options)?;
+            // The paper runs the original Cypher query on Neo4j only once
+            // (there is no "optimized Cypher" configuration); mirror that.
+            let neo4j = if level == OptLevel::None {
+                let ms = median_millis(|| drop(compiled.execute_graph(&graph).unwrap()), runs);
+                format!("{ms:.2}")
             } else {
-                median_millis(
-                    || {
-                        compiled.execute_graph(&graph).unwrap();
-                    },
-                    runs,
-                )
+                "-".to_string()
             };
-            let souffle = median_millis(
-                || {
-                    if optimized {
-                        compiled.execute_datalog(&db).unwrap();
-                    } else {
-                        compiled.execute_datalog_unoptimized(&db).unwrap();
-                    }
-                },
-                runs,
-            );
-            let duck = median_millis(
-                || {
-                    if optimized {
-                        compiled.execute_sql(&db, SqlProfile::Duck).unwrap();
-                    } else {
-                        compiled.execute_sql_unoptimized(&db, SqlProfile::Duck).unwrap();
-                    }
-                },
-                runs,
-            );
-            let hyper = median_millis(
-                || {
-                    if optimized {
-                        compiled.execute_sql(&db, SqlProfile::Hyper).unwrap();
-                    } else {
-                        compiled.execute_sql_unoptimized(&db, SqlProfile::Hyper).unwrap();
-                    }
-                },
-                runs,
-            );
-            let neo4j_str = if neo4j.is_nan() { "-".to_string() } else { format!("{neo4j:.2}") };
+            let souffle = median_millis(|| drop(compiled.execute_datalog(&db).unwrap()), runs);
+            let duck =
+                median_millis(|| drop(compiled.execute_sql(&db, SqlProfile::Duck).unwrap()), runs);
+            let hyper =
+                median_millis(|| drop(compiled.execute_sql(&db, SqlProfile::Hyper).unwrap()), runs);
             println!(
                 "{:<6} {:<10} {:>12} {:>12.2} {:>12.2} {:>12.2}",
-                query.name, label, neo4j_str, souffle, duck, hyper
+                query.name, label, neo4j, souffle, duck, hyper
             );
         }
     }

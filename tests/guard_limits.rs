@@ -15,6 +15,7 @@ use raqlet::{
     QueryGuard, Raqlet, RaqletError, SqlProfile, Value,
 };
 use raqlet_dlir::{Atom, BodyElem, DlirProgram, Rule};
+use raqlet_engine::fault::count_checkpoints;
 use raqlet_ldbc::{generate, to_database, to_property_graph, GeneratorConfig, SNB_PG_SCHEMA};
 
 fn atom(name: &str, vars: &[&str]) -> BodyElem {
@@ -274,7 +275,44 @@ fn facade_guarded_entry_points_agree_with_unguarded() {
     let sql_guarded = compiled.execute_sql_guarded(&db, SqlProfile::Duck, &generous).unwrap();
     assert_eq!(sql_plain.sorted(), sql_guarded.sorted());
 
-    let mut prepared = PreparedDatabase::new(db);
+    let mut prepared = PreparedDatabase::new(db.clone());
     let warm = compiled.execute_datalog_prepared_guarded(&mut prepared, &generous).unwrap();
     assert_eq!(plain.sorted(), warm.sorted());
+
+    // Warm Table 1 runs under an armed guard that cannot trip: deadline,
+    // tuple budget and cancellation token, but no memory budget (arming one
+    // adds a heap walk per round on purpose). The guarded run must do exactly
+    // the unguarded run's work, and the checkpoints it takes are pinned.
+    let armed = QueryGuard::new()
+        .with_deadline(Duration::from_secs(3600))
+        .with_tuple_budget(u64::MAX)
+        .with_cancellation(CancellationToken::new());
+    let cases = [
+        (raqlet_ldbc::SQ1, OptLevel::None, 3),
+        (raqlet_ldbc::SQ1, OptLevel::Full, 1),
+        (raqlet_ldbc::CQ2, OptLevel::None, 3),
+        (raqlet_ldbc::CQ2, OptLevel::Full, 1),
+    ];
+    for (query, level, checkpoints) in cases {
+        let label = format!("{} at {level:?}", query.name);
+        let options = CompileOptions::new(level)
+            .with_param("personId", person)
+            .with_param("maxDate", 20_200_101i64);
+        let compiled = raqlet.compile(query.cypher, &options).unwrap();
+        let mut prepared =
+            PreparedDatabase::with_engine(db.clone(), DatalogEngine::with_threads(1));
+        compiled.execute_datalog_prepared(&mut prepared).unwrap();
+
+        let plain = compiled.execute_datalog_prepared(&mut prepared).unwrap();
+        let plain_stats = prepared.last_stats().clone();
+        let guarded = compiled.execute_datalog_prepared_guarded(&mut prepared, &armed).unwrap();
+        assert!(!plain.is_empty(), "{label}: no rows to compare");
+        assert_eq!(plain, guarded, "{label}: rows");
+        assert_eq!(&plain_stats, prepared.last_stats(), "{label}: EvalStats");
+        let hits = count_checkpoints(|g| {
+            compiled.execute_datalog_prepared_guarded(&mut prepared, g).map(|_| ())
+        })
+        .unwrap();
+        assert_eq!(hits, checkpoints, "{label}: guard checkpoints");
+    }
 }

@@ -44,12 +44,12 @@ fn figure3_pipeline_representations() {
     assert!(dlir.contains("p = cityId"));
 
     // Figure 3d: Soufflé output with declarations and the output directive.
-    let souffle = compiled.to_souffle_unoptimized();
+    let souffle = compiled.to_souffle();
     assert!(souffle.contains(".decl Person_IS_LOCATED_IN_City"));
     assert!(souffle.contains(".output Return"));
 
     // Figure 3e: SQL with a CTE per rule and a final SELECT DISTINCT.
-    let sql = compiled.to_sql_unoptimized(SqlDialect::Generic).unwrap();
+    let sql = compiled.to_sql(SqlDialect::Generic).unwrap();
     assert!(sql.contains("WITH "));
     assert!(sql.contains("Match1"));
     assert!(sql.contains("Where1"));

@@ -9,9 +9,14 @@
 //!   rebuilds (pinned through the relation-level build counter), **zero**
 //!   program recompiles (pinned through the plan-cache counter) and **zero**
 //!   dictionary re-encoding (pinned through the shared value dictionary's
-//!   entry count).
+//!   entry count);
+//! * what warm state costs and saves — index memory per tuple, and the work
+//!   a one-edge maintenance pass does against a warm recompute.
 
-use raqlet::{CompileOptions, Database, DatalogEngine, OptLevel, PreparedDatabase, Raqlet, Value};
+use raqlet::{
+    CompileOptions, Database, DatalogEngine, EdbDelta, EvalStats, OptLevel, PreparedDatabase,
+    Raqlet, Value,
+};
 use raqlet_dlir::{Atom, BodyElem, DlirProgram, Rule};
 
 fn atom(name: &str, vars: &[&str]) -> BodyElem {
@@ -261,6 +266,71 @@ fn warm_runs_after_apply_delta_see_the_mutated_edb() {
         DatalogEngine::new().run_output(&program, prepared.database(), "tc").unwrap().sorted();
     assert_eq!(warm, maintained, "warm re-run vs maintained view");
     assert_eq!(warm, cold, "warm re-run vs cold engine on the mutated EDB");
+}
+
+/// Index memory stays within budget: a warm run materialises only the
+/// plan-declared join indexes, which on the SNB set stay under 120 bytes per
+/// extensional tuple. Building undeclared indexes again would blow the bound.
+#[test]
+fn warm_index_memory_stays_within_the_per_tuple_budget() {
+    let (raqlet, db, person) = snb_setup();
+    let options = CompileOptions::new(OptLevel::None).with_param("personId", person);
+    let compiled = raqlet.compile(raqlet_ldbc::REACHABILITY.cypher, &options).unwrap();
+    let mut prepared = PreparedDatabase::new(db.clone());
+    compiled.execute_datalog_prepared(&mut prepared).unwrap();
+    let index_bytes = prepared.database().index_heap_bytes();
+    let per_tuple = index_bytes as f64 / db.total_tuples() as f64;
+    assert!(index_bytes > 0, "the warm run must build the declared indexes");
+    assert!(per_tuple <= 120.0, "{per_tuple:.1} index bytes per tuple, budget 120");
+}
+
+/// Small-batch maintenance does a fraction of a warm recompute's work: one
+/// fresh KNOWS edge into the standing REACHABILITY view, against a warm
+/// re-execution of the same query. Both costs are pinned exactly, and the
+/// recompute must derive at least five times the tuples the insert does.
+#[test]
+fn one_edge_insert_derives_a_fifth_of_a_warm_recompute() {
+    let network = raqlet_ldbc::generate(&raqlet_ldbc::GeneratorConfig { scale: 0.25, seed: 42 });
+    let (raqlet, db, person) = snb_setup();
+    let options = CompileOptions::new(OptLevel::Full).with_param("personId", person);
+    let compiled = raqlet.compile(raqlet_ldbc::REACHABILITY.cypher, &options).unwrap();
+
+    let mut maintained = PreparedDatabase::with_engine(db.clone(), DatalogEngine::with_threads(1));
+    maintained.install_view(compiled.dlir(), &compiled.output).unwrap();
+    let mut delta = EdbDelta::new();
+    delta.insert(
+        "Person_KNOWS_Person",
+        vec![
+            Value::Int(network.persons[1].id),
+            Value::Int(5_000_000),
+            Value::Int(9_000_000),
+            Value::Int(20_200_101),
+        ],
+    );
+    let insert = maintained.apply_delta(delta).unwrap();
+
+    let mut warm = PreparedDatabase::with_engine(db, DatalogEngine::with_threads(1));
+    compiled.execute_datalog_prepared(&mut warm).unwrap();
+    compiled.execute_datalog_prepared(&mut warm).unwrap();
+    let recompute = warm.last_stats().clone();
+
+    let stats = |sccs, iterations, rule_applications, tuples_derived| EvalStats {
+        strata: 1,
+        sccs,
+        looping_sccs: 1,
+        iterations,
+        rule_applications,
+        tuples_derived,
+        parallel_tasks: 0,
+    };
+    assert_eq!(insert, stats(2, 2, 7, 2), "insert");
+    assert_eq!(recompute, stats(3, 6, 12, 153), "warm recompute");
+    assert!(
+        recompute.tuples_derived >= 5 * insert.tuples_derived,
+        "recompute derives {} tuples, the insert {}",
+        recompute.tuples_derived,
+        insert.tuples_derived
+    );
 }
 
 #[test]
