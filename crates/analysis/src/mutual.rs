@@ -11,7 +11,7 @@ use raqlet_dlir::{DepGraph, DlirProgram};
 /// The groups of mutually recursive predicates (SCCs with more than one
 /// member), in dependency order.
 pub fn mutual_recursion_groups(program: &DlirProgram) -> Vec<Vec<String>> {
-    DepGraph::build(program).sccs().into_iter().filter(|scc| scc.len() > 1).collect()
+    DepGraph::build(program).sccs().iter().filter(|scc| scc.len() > 1).cloned().collect()
 }
 
 /// True if the program contains any mutually recursive predicates.

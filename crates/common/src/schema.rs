@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{RaqletError, Result};
 use crate::types::ValueType;
@@ -267,8 +268,17 @@ impl RelationDecl {
 
 /// A Datalog schema: the output of the data-model transformation and the
 /// catalog against which DLIR programs are typed and executed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Every program derived from one schema shares its catalog: a clone costs
+/// one reference-count increment, and [`DlSchema::add`] /
+/// [`DlSchema::upsert`] copy the catalog only when it is shared.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct DlSchema {
+    catalog: Arc<Catalog>,
+}
+
+#[derive(Clone, Default, PartialEq, Eq)]
+struct Catalog {
     relations: BTreeMap<String, RelationDecl>,
     /// Declaration order, preserved for deterministic unparsing.
     order: Vec<String>,
@@ -282,26 +292,28 @@ impl DlSchema {
 
     /// Add a relation declaration. Errors on duplicate names.
     pub fn add(&mut self, decl: RelationDecl) -> Result<()> {
-        if self.relations.contains_key(&decl.name) {
+        if self.contains(&decl.name) {
             return Err(RaqletError::schema(format!("duplicate relation `{}`", decl.name)));
         }
-        self.order.push(decl.name.clone());
-        self.relations.insert(decl.name.clone(), decl);
+        let catalog = Arc::make_mut(&mut self.catalog);
+        catalog.order.push(decl.name.clone());
+        catalog.relations.insert(decl.name.clone(), decl);
         Ok(())
     }
 
     /// Add or replace a relation declaration (used when the compiler refines
     /// inferred IDB types).
     pub fn upsert(&mut self, decl: RelationDecl) {
-        if !self.relations.contains_key(&decl.name) {
-            self.order.push(decl.name.clone());
+        let catalog = Arc::make_mut(&mut self.catalog);
+        if !catalog.relations.contains_key(&decl.name) {
+            catalog.order.push(decl.name.clone());
         }
-        self.relations.insert(decl.name.clone(), decl);
+        catalog.relations.insert(decl.name.clone(), decl);
     }
 
     /// Look up a relation by name.
     pub fn get(&self, name: &str) -> Option<&RelationDecl> {
-        self.relations.get(name)
+        self.catalog.relations.get(name)
     }
 
     /// Look up a relation by name, returning an error if missing.
@@ -312,12 +324,12 @@ impl DlSchema {
 
     /// True if the schema declares `name`.
     pub fn contains(&self, name: &str) -> bool {
-        self.relations.contains_key(name)
+        self.catalog.relations.contains_key(name)
     }
 
     /// Relations in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = &RelationDecl> {
-        self.order.iter().filter_map(|n| self.relations.get(n))
+        self.catalog.order.iter().filter_map(|n| self.catalog.relations.get(n))
     }
 
     /// Names of all extensional relations (node/edge EDBs and base tables).
@@ -327,12 +339,23 @@ impl DlSchema {
 
     /// Number of declared relations.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.catalog.order.len()
     }
 
     /// True if no relations are declared.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.catalog.order.is_empty()
+    }
+}
+
+/// Prints the catalog's fields as if they were the schema's own, so the
+/// sharing does not show.
+impl fmt::Debug for DlSchema {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DlSchema")
+            .field("relations", &self.catalog.relations)
+            .field("order", &self.catalog.order)
+            .finish()
     }
 }
 
@@ -509,6 +532,24 @@ mod tests {
         s.upsert(d2);
         assert_eq!(s.get("R").unwrap().arity(), 2);
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn dl_schema_clones_share_until_written() {
+        let mut s = DlSchema::new();
+        s.add(RelationDecl::new("E", vec![], RelationKind::BaseTable)).unwrap();
+        let mut copy = s.clone();
+        assert!(Arc::ptr_eq(&s.catalog, &copy.catalog));
+        copy.upsert(RelationDecl::new("TC", vec![], RelationKind::Idb));
+        assert!(!Arc::ptr_eq(&s.catalog, &copy.catalog));
+        assert_eq!(s.len(), 1);
+        assert_eq!(copy.len(), 2);
+        assert_ne!(s, copy);
+        assert_eq!(
+            format!("{s:?}"),
+            "DlSchema { relations: {\"E\": RelationDecl { name: \"E\", columns: [], \
+             kind: BaseTable, key: [], source_label: None }}, order: [\"E\"] }"
+        );
     }
 
     #[test]

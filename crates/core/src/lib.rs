@@ -124,20 +124,19 @@ impl Raqlet {
         // Static analysis on the unoptimized program.
         let analysis = raqlet_analysis::analyze(&lowered.program);
 
-        // Optimization — once per backend family. The Datalog-targeted
+        // Optimization for both backend families. The Datalog-targeted
         // program (also used for the Soufflé unparse) keeps every pass; the
         // SQL-targeted one skips magic sets, which are pathological under
         // recursive-CTE working-table evaluation (see
-        // [`raqlet_opt::TargetBackend`]).
-        let optimized =
-            raqlet_opt::optimize_for(&lowered.program, options.opt_level, TargetBackend::Any)?;
-        let sql_optimized =
-            raqlet_opt::optimize_for(&lowered.program, options.opt_level, TargetBackend::Sql)?;
+        // [`raqlet_opt::TargetBackend`]). When magic sets never fire, one
+        // pipeline run yields both.
+        let (optimized, sql_optimized) =
+            raqlet_opt::optimize_for_backends(&lowered.program, options.opt_level)?;
 
         Ok(CompiledQuery {
             cypher: cypher.to_string(),
             pgir,
-            unoptimized: lowered.program.clone(),
+            unoptimized: lowered.program,
             optimized,
             sql_optimized,
             analysis,
@@ -162,7 +161,9 @@ pub struct CompiledQuery {
     /// at Datalog-style backends (every pass of the level).
     pub optimized: OptimizedProgram,
     /// The program optimized for SQL backends (magic sets skipped — see
-    /// [`raqlet_opt::TargetBackend::Sql`]).
+    /// [`raqlet_opt::TargetBackend::Sql`]). It comes from the same pipeline
+    /// run as [`CompiledQuery::optimized`], and equals it, unless magic sets
+    /// fired there (see [`raqlet_opt::optimize_for_backends`]).
     pub sql_optimized: OptimizedProgram,
     /// The static-analysis report (Section 4).
     pub analysis: AnalysisReport,

@@ -5,8 +5,12 @@
 //! tagged with the polarity (positive / negated) and with whether the rule
 //! also aggregates. The SCCs of this graph drive recursion detection,
 //! stratification and the evaluation order used by the Datalog engine.
+//!
+//! The components are computed once, when the graph is built; every SCC
+//! question ([`DepGraph::sccs`], [`DepGraph::scc_of`],
+//! [`DepGraph::is_recursive`], [`DepGraph::condense`]) reads them.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::ir::DlirProgram;
 
@@ -28,10 +32,15 @@ pub struct DepGraph {
     edges: BTreeMap<String, Vec<(String, DepKind)>>,
     /// All relation names appearing anywhere (heads and bodies).
     nodes: BTreeSet<String>,
+    /// The strongly connected components in reverse topological order.
+    components: Vec<Vec<String>>,
+    /// Index into `components` of every node.
+    component_of: HashMap<String, usize>,
 }
 
 impl DepGraph {
-    /// Build the dependency graph of a program.
+    /// Build the dependency graph of a program and its strongly connected
+    /// components.
     pub fn build(program: &DlirProgram) -> Self {
         let mut graph = DepGraph::default();
         for rule in &program.rules {
@@ -49,6 +58,13 @@ impl DepGraph {
                 entry.push((dep.to_string(), DepKind::Negative));
             }
         }
+        graph.components = graph.tarjan();
+        graph.component_of = graph
+            .components
+            .iter()
+            .enumerate()
+            .flat_map(|(i, scc)| scc.iter().map(move |n| (n.clone(), i)))
+            .collect();
         graph
     }
 
@@ -68,53 +84,54 @@ impl DepGraph {
     }
 
     /// Strongly connected components in reverse topological order
-    /// (dependencies come before dependents), computed with Tarjan's
-    /// algorithm.
-    pub fn sccs(&self) -> Vec<Vec<String>> {
+    /// (dependencies come before dependents).
+    pub fn sccs(&self) -> &[Vec<String>] {
+        &self.components
+    }
+
+    /// Tarjan's algorithm over dense node indices: nodes are visited in
+    /// sorted order and each node's dependencies in rule order, so the
+    /// component order is deterministic.
+    fn tarjan(&self) -> Vec<Vec<String>> {
         struct Tarjan<'g> {
-            graph: &'g DepGraph,
-            index: usize,
-            indices: BTreeMap<String, usize>,
-            lowlink: BTreeMap<String, usize>,
-            on_stack: BTreeSet<String>,
-            stack: Vec<String>,
+            names: Vec<&'g String>,
+            adjacency: Vec<Vec<usize>>,
+            next_index: usize,
+            index: Vec<Option<usize>>,
+            lowlink: Vec<usize>,
+            on_stack: Vec<bool>,
+            stack: Vec<usize>,
             sccs: Vec<Vec<String>>,
         }
 
-        impl<'g> Tarjan<'g> {
-            fn strongconnect(&mut self, v: &str) {
-                self.indices.insert(v.to_string(), self.index);
-                self.lowlink.insert(v.to_string(), self.index);
-                self.index += 1;
-                self.stack.push(v.to_string());
-                self.on_stack.insert(v.to_string());
+        impl Tarjan<'_> {
+            fn strongconnect(&mut self, v: usize) {
+                self.index[v] = Some(self.next_index);
+                self.lowlink[v] = self.next_index;
+                self.next_index += 1;
+                self.stack.push(v);
+                self.on_stack[v] = true;
 
-                let deps: Vec<String> =
-                    self.graph.dependencies_of(v).iter().map(|(d, _)| d.clone()).collect();
-                // Invariant: `v` got index/lowlink entries at the top of this
-                // call, and `w` gets them inside `strongconnect` (first arm)
-                // or already has an index (second arm's guard).
-                #[allow(clippy::unwrap_used)]
-                for w in deps {
-                    if !self.indices.contains_key(&w) {
-                        self.strongconnect(&w);
-                        let low =
-                            (*self.lowlink.get(v).unwrap()).min(*self.lowlink.get(&w).unwrap());
-                        self.lowlink.insert(v.to_string(), low);
-                    } else if self.on_stack.contains(&w) {
-                        let low =
-                            (*self.lowlink.get(v).unwrap()).min(*self.indices.get(&w).unwrap());
-                        self.lowlink.insert(v.to_string(), low);
+                for i in 0..self.adjacency[v].len() {
+                    let w = self.adjacency[v][i];
+                    match self.index[w] {
+                        None => {
+                            self.strongconnect(w);
+                            self.lowlink[v] = self.lowlink[v].min(self.lowlink[w]);
+                        }
+                        Some(w_index) if self.on_stack[w] => {
+                            self.lowlink[v] = self.lowlink[v].min(w_index);
+                        }
+                        Some(_) => {}
                     }
                 }
 
-                if self.lowlink.get(v) == self.indices.get(v) {
+                if Some(self.lowlink[v]) == self.index[v] {
                     let mut component = Vec::new();
                     while let Some(w) = self.stack.pop() {
-                        self.on_stack.remove(&w);
-                        let done = w == v;
-                        component.push(w);
-                        if done {
+                        self.on_stack[w] = false;
+                        component.push(self.names[w].clone());
+                        if w == v {
                             break;
                         }
                     }
@@ -124,35 +141,52 @@ impl DepGraph {
             }
         }
 
+        let names: Vec<&String> = self.nodes.iter().collect();
+        let position: HashMap<&str, usize> =
+            names.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
+        // Every dependency is a node: `build` inserts both ends of each edge.
+        let adjacency = names
+            .iter()
+            .map(|n| {
+                self.dependencies_of(n)
+                    .iter()
+                    .filter_map(|(d, _)| position.get(d.as_str()).copied())
+                    .collect()
+            })
+            .collect();
+        let n = names.len();
         let mut t = Tarjan {
-            graph: self,
-            index: 0,
-            indices: BTreeMap::new(),
-            lowlink: BTreeMap::new(),
-            on_stack: BTreeSet::new(),
+            names,
+            adjacency,
+            next_index: 0,
+            index: vec![None; n],
+            lowlink: vec![0; n],
+            on_stack: vec![false; n],
             stack: Vec::new(),
             sccs: Vec::new(),
         };
-        for node in &self.nodes {
-            if !t.indices.contains_key(node) {
-                t.strongconnect(node);
+        for v in 0..n {
+            if t.index[v].is_none() {
+                t.strongconnect(v);
             }
         }
         t.sccs
     }
 
-    /// The SCC containing `name` (singleton for non-recursive relations).
+    /// The SCC containing `name` (singleton for non-recursive relations and
+    /// for names the graph has never seen).
     pub fn scc_of(&self, name: &str) -> Vec<String> {
-        self.sccs()
-            .into_iter()
-            .find(|scc| scc.iter().any(|n| n == name))
-            .unwrap_or_else(|| vec![name.to_string()])
+        match self.component_of.get(name) {
+            Some(&i) => self.components[i].clone(),
+            None => vec![name.to_string()],
+        }
     }
 
     /// True if the relation is recursive: it is in a multi-element SCC, or it
     /// depends directly on itself.
     pub fn is_recursive(&self, name: &str) -> bool {
-        self.depends_on(name, name) || self.scc_of(name).len() > 1
+        self.depends_on(name, name)
+            || self.component_of.get(name).is_some_and(|&i| self.components[i].len() > 1)
     }
 
     /// All recursive relations.
@@ -173,7 +207,8 @@ impl DepGraph {
         let mut groups = Vec::new();
         let mut placed: BTreeSet<String> = BTreeSet::new();
         for scc in self.sccs() {
-            let relations: Vec<String> = scc.into_iter().filter(|n| wanted.contains(n)).collect();
+            let relations: Vec<String> =
+                scc.iter().filter(|n| wanted.contains(n)).cloned().collect();
             if relations.is_empty() {
                 continue;
             }
@@ -322,6 +357,111 @@ mod tests {
         assert_eq!(groups[0].relations.len(), 2);
         assert!(groups[0].relations.contains(&"even".to_string()));
         assert!(groups[0].relations.contains(&"odd".to_string()));
+    }
+
+    /// Seeded random graphs — self-loops, mutual cycles, negated edges,
+    /// relations no rule mentions — checked against a brute-force
+    /// reachability closure.
+    #[test]
+    fn scc_queries_match_brute_force_reachability() {
+        use raqlet_common::SplitMix64;
+
+        const POOL: usize = 10;
+        let name = |i: usize| format!("r{i}");
+        for seed in 0..200 {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            // Only the first `used` names ever appear in a rule; the rest
+            // (and `ghost`) are unknown to the graph.
+            let used = rng.gen_index(1..POOL);
+            let mut p = DlirProgram::default();
+            let mut edge = [[false; POOL]; POOL];
+            let mut known = [false; POOL];
+            let mut add = |p: &mut DlirProgram, head: usize, body: &[(usize, bool)]| {
+                known[head] = true;
+                let elems = body
+                    .iter()
+                    .map(|&(b, negated)| {
+                        edge[head][b] = true;
+                        known[b] = true;
+                        let atom = Atom::with_vars(name(b), &["x"]);
+                        if negated {
+                            BodyElem::Negated(atom)
+                        } else {
+                            BodyElem::Atom(atom)
+                        }
+                    })
+                    .collect();
+                p.add_rule(Rule::new(Atom::with_vars(name(head), &["x"]), elems));
+            };
+            for _ in 0..rng.gen_index(1..2 * used + 2) {
+                let head = rng.gen_index(0..used);
+                let body: Vec<(usize, bool)> = (0..rng.gen_index(0..4))
+                    .map(|_| (rng.gen_index(0..used), rng.gen_bool(0.2)))
+                    .collect();
+                add(&mut p, head, &body);
+            }
+            if rng.gen_bool(0.5) {
+                let r = rng.gen_index(0..used);
+                add(&mut p, r, &[(r, false)]);
+            }
+            if used > 1 && rng.gen_bool(0.5) {
+                let (a, b) = (rng.gen_index(0..used), rng.gen_index(0..used));
+                add(&mut p, a, &[(b, false)]);
+                add(&mut p, b, &[(a, false)]);
+            }
+
+            // reach[a][b]: a path of one or more edges leads from a to b.
+            let mut reach = edge;
+            for k in 0..POOL {
+                for a in 0..POOL {
+                    for b in 0..POOL {
+                        reach[a][b] |= reach[a][k] && reach[k][b];
+                    }
+                }
+            }
+            let g = DepGraph::build(&p);
+            let mut expected_recursive = Vec::new();
+            for a in 0..POOL {
+                assert_eq!(g.is_recursive(&name(a)), reach[a][a], "seed {seed}: r{a}");
+                if reach[a][a] {
+                    expected_recursive.push(name(a));
+                }
+                let mut expected: Vec<String> = if known[a] {
+                    (0..POOL).filter(|&b| a == b || reach[a][b] && reach[b][a]).map(name).collect()
+                } else {
+                    vec![name(a)]
+                };
+                let mut scc = g.scc_of(&name(a));
+                scc.sort();
+                expected.sort();
+                assert_eq!(scc, expected, "seed {seed}: scc_of(r{a})");
+            }
+            assert_eq!(g.recursive_relations(), expected_recursive, "seed {seed}");
+            assert!(!g.is_recursive("ghost") && g.scc_of("ghost") == vec!["ghost".to_string()]);
+
+            // `sccs` partitions exactly the known relations into the
+            // components above, dependencies first.
+            let index = |n: &String| n[1..].parse::<usize>().unwrap();
+            let sccs = g.sccs();
+            let mut members: Vec<usize> = sccs.iter().flatten().map(index).collect();
+            members.sort();
+            assert_eq!(members, (0..POOL).filter(|&a| known[a]).collect::<Vec<_>>(), "seed {seed}");
+            for (i, scc) in sccs.iter().enumerate() {
+                let mut expected = g.scc_of(&scc[0]);
+                expected.sort();
+                let mut sorted = scc.clone();
+                sorted.sort();
+                assert_eq!(sorted, expected, "seed {seed}: component {i}");
+                for later in &sccs[i + 1..] {
+                    for (a, b) in scc.iter().flat_map(|a| later.iter().map(move |b| (a, b))) {
+                        assert!(
+                            !reach[index(a)][index(b)],
+                            "seed {seed}: {a} depends on {b}, which comes later in {sccs:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub fn stratify(program: &DlirProgram) -> Result<Stratification> {
     // the maximum over (dep stratum) for positive deps and (dep stratum + 1)
     // for negative/aggregated deps, and all members of an SCC share a stratum.
     let mut stratum_of: BTreeMap<String, usize> = BTreeMap::new();
-    for scc in &sccs {
+    for scc in sccs {
         let mut stratum = 0usize;
         for member in scc {
             for (dep, kind) in graph.dependencies_of(member) {
@@ -118,7 +118,7 @@ pub fn stratify(program: &DlirProgram) -> Result<Stratification> {
     // Group IDBs (and referenced EDBs) by stratum.
     let max_stratum = stratum_of.values().copied().max().unwrap_or(0);
     let mut strata: Vec<Vec<String>> = vec![Vec::new(); max_stratum + 1];
-    for scc in &sccs {
+    for scc in sccs {
         for member in scc {
             strata[stratum_of[member]].push(member.clone());
         }

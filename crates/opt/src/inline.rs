@@ -72,7 +72,7 @@ fn inline_once(program: &DlirProgram, config: &InlineConfig) -> (DlirProgram, bo
             let mut new_rules = Vec::new();
             for def in definitions {
                 let mut new_rule = rule.clone();
-                let substituted = substitute_body(def, call, rule, &mut new_rules_counter());
+                let substituted = substitute_body(def, call, rule);
                 new_rule.body.splice(idx..=idx, substituted);
                 dedup_body(&mut new_rule.body);
                 new_rules.push(new_rule);
@@ -85,10 +85,6 @@ fn inline_once(program: &DlirProgram, config: &InlineConfig) -> (DlirProgram, bo
         }
     }
     (out, changed)
-}
-
-fn new_rules_counter() -> u32 {
-    0
 }
 
 /// Is `atom` a call site we can inline into `caller`?
@@ -137,7 +133,7 @@ fn inlinable(
 /// Instantiate the body of `def` for the call site `call` occurring in
 /// `caller`: head variables of `def` are replaced by the corresponding call
 /// arguments, all other variables are renamed to avoid capture.
-fn substitute_body(def: &Rule, call: &Atom, caller: &Rule, _counter: &mut u32) -> Vec<BodyElem> {
+fn substitute_body(def: &Rule, call: &Atom, caller: &Rule) -> Vec<BodyElem> {
     // Mapping from the definition's head variables to the caller's terms.
     let mut mapping: HashMap<String, Term> = HashMap::new();
     for (def_term, call_term) in def.head.terms.iter().zip(&call.terms) {

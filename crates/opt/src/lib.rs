@@ -20,7 +20,8 @@
 //! Passes can be specialised for the execution backend: the magic-set
 //! rewrite speeds up bottom-up Datalog engines but is pathological under
 //! recursive-CTE working-table evaluation, so SQL-targeted pipelines skip it
-//! ([`TargetBackend`]).
+//! ([`TargetBackend`]). [`optimize_for_backends`] returns both programs and
+//! runs the SQL-targeted pipeline only when magic sets fired.
 //!
 //! ```
 //! use raqlet_dlir::{Atom, BodyElem, DlExpr, DlirProgram, Rule};
@@ -70,6 +71,7 @@ pub use inline::{inline, InlineConfig};
 pub use linearize::linearize;
 pub use magic::magic_sets;
 pub use pipeline::{
-    optimize, optimize_for, optimize_with, OptLevel, OptimizedProgram, PassConfig, TargetBackend,
+    optimize, optimize_for, optimize_for_backends, optimize_with, OptLevel, OptimizedProgram,
+    PassConfig, TargetBackend,
 };
 pub use semantic::optimize_joins;

@@ -146,6 +146,25 @@ pub fn optimize_for(
     optimize_with(program, &PassConfig::for_target(level, backend))
 }
 
+/// Optimize for both backend families at once: returns the
+/// [`TargetBackend::Any`] program and the [`TargetBackend::Sql`] one, each
+/// exactly what [`optimize_for`] returns for that backend. The two pass
+/// sets differ only in magic sets and every pass is deterministic, so when
+/// magic sets never fire in the `Any` run a SQL-targeted run would repeat it
+/// step for step; the SQL pipeline runs only when they fired.
+pub fn optimize_for_backends(
+    program: &DlirProgram,
+    level: OptLevel,
+) -> Result<(OptimizedProgram, OptimizedProgram)> {
+    let any = optimize_for(program, level, TargetBackend::Any)?;
+    let sql = if any.applied_passes.iter().any(|p| p == "magic-sets") {
+        optimize_for(program, level, TargetBackend::Sql)?
+    } else {
+        any.clone()
+    };
+    Ok((any, sql))
+}
+
 /// Optimize with an explicit pass configuration.
 pub fn optimize_with(program: &DlirProgram, config: &PassConfig) -> Result<OptimizedProgram> {
     let rules_before = program.rules.len();
@@ -336,6 +355,20 @@ mod tests {
         let datalog = optimize_for(&p, OptLevel::Full, TargetBackend::Datalog).unwrap();
         assert!(datalog.applied_passes.contains(&"magic-sets".to_string()));
         assert!(datalog.program.idb_names().iter().any(|n| n.starts_with("Magic_")));
+    }
+
+    #[test]
+    fn backend_pass_sets_differ_only_in_magic_sets() {
+        // `optimize_for_backends` skips the SQL run when magic sets never
+        // fired, which is only sound while this holds.
+        for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
+            let any = PassConfig::for_target(level, TargetBackend::Any);
+            let sql = PassConfig {
+                magic_sets: any.magic_sets,
+                ..PassConfig::for_target(level, TargetBackend::Sql)
+            };
+            assert_eq!(format!("{any:?}"), format!("{sql:?}"), "{level:?}");
+        }
     }
 
     #[test]

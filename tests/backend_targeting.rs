@@ -11,16 +11,47 @@
 
 use std::time::Instant;
 
-use raqlet::{CompileOptions, CompiledQuery, OptLevel, Raqlet, SqlDialect, SqlProfile};
-use raqlet_ldbc::{generate, to_database, GeneratorConfig, CQ2, REACHABILITY, SNB_PG_SCHEMA};
+use raqlet::{
+    CompileOptions, CompiledQuery, OptLevel, OptimizedProgram, Raqlet, SqlDialect, SqlProfile,
+    TargetBackend,
+};
+use raqlet_ldbc::{
+    generate, to_database, GeneratorConfig, ALL_QUERIES, CQ2, REACHABILITY, SNB_PG_SCHEMA,
+};
 
 fn compile(cypher: &str, level: OptLevel, person: i64) -> CompiledQuery {
     let raqlet = Raqlet::from_pg_schema(SNB_PG_SCHEMA).expect("SNB schema parses");
     let options = CompileOptions::new(level)
         .with_param("personId", person)
         .with_param("otherId", person + 7)
-        .with_param("maxDate", 20_200_101i64);
+        .with_param("maxDate", 20_200_101i64)
+        .with_param("firstName", "Alice");
     raqlet.compile(cypher, &options).expect("benchmark query compiles")
+}
+
+/// The facade's two optimized programs are exactly what a standalone
+/// `optimize_for` run per backend produces from the unoptimized program —
+/// program, pass trail and rule counts — however the facade gets there.
+#[test]
+fn facade_optimizations_equal_standalone_optimize_for_runs() {
+    fn assert_same(query: &str, label: &str, got: &OptimizedProgram, want: &OptimizedProgram) {
+        assert_eq!(got.program, want.program, "{query} {label}: program differs");
+        assert_eq!(got.applied_passes, want.applied_passes, "{query} {label}: passes differ");
+        assert_eq!(got.rules_before, want.rules_before, "{query} {label}: rules_before differs");
+        assert_eq!(got.rules_after, want.rules_after, "{query} {label}: rules_after differs");
+    }
+    for query in ALL_QUERIES {
+        for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
+            let compiled = compile(query.cypher, level, 42);
+            let any = raqlet_opt::optimize_for(&compiled.unoptimized, level, TargetBackend::Any)
+                .expect("optimizes for Any");
+            let sql = raqlet_opt::optimize_for(&compiled.unoptimized, level, TargetBackend::Sql)
+                .expect("optimizes for Sql");
+            let label = format!("{level:?}");
+            assert_same(query.name, &format!("{label}/Any"), &compiled.optimized, &any);
+            assert_same(query.name, &format!("{label}/Sql"), &compiled.sql_optimized, &sql);
+        }
+    }
 }
 
 #[test]
