@@ -3,7 +3,7 @@
 //! goal, checked empirically).
 
 use raqlet::{Database, DatalogEngine, Value};
-use raqlet_dlir::{Atom, BodyElem, DlExpr, DlirProgram, Rule};
+use raqlet_dlir::{Atom, BodyElem, CmpOp, DlExpr, DlirProgram, Rule};
 use raqlet_opt::{optimize, optimize_with, OptLevel, PassConfig};
 
 fn atom(name: &str, vars: &[&str]) -> BodyElem {
@@ -62,6 +62,27 @@ fn nonlinear_with_negation() -> DlirProgram {
     p
 }
 
+/// Non-linear closure over two-hop paths whose base rule has a local
+/// variable under a constraint, so linearization has to rename it.
+fn nonlinear_two_hop() -> DlirProgram {
+    let mut p = DlirProgram::default();
+    p.add_rule(Rule::new(
+        Atom::with_vars("hop2", &["x", "y"]),
+        vec![
+            atom("edge", &["x", "w"]),
+            atom("edge", &["w", "y"]),
+            BodyElem::Constraint { op: CmpOp::Neq, lhs: DlExpr::var("w"), rhs: DlExpr::int(0) },
+        ],
+    ));
+    p.add_rule(Rule::new(
+        Atom::with_vars("hop2", &["x", "y"]),
+        vec![atom("hop2", &["x", "z"]), atom("hop2", &["z", "y"])],
+    ));
+    p.add_rule(Rule::new(Atom::with_vars("Return", &["x", "y"]), vec![atom("hop2", &["x", "y"])]));
+    p.add_output("Return");
+    p
+}
+
 fn run(program: &DlirProgram, db: &Database) -> Vec<Vec<Value>> {
     DatalogEngine::new().run_output(program, db, "Return").unwrap().sorted()
 }
@@ -114,6 +135,17 @@ fn linearization_plus_magic_sets_preserve_nonlinear_tc_with_negation() {
 }
 
 #[test]
+fn linearizing_a_base_rule_with_constrained_locals_preserves_results() {
+    let db = graph_db(20);
+    let program = nonlinear_two_hop();
+    let baseline = run(&program, &db);
+    assert!(!baseline.is_empty());
+    let optimized = optimize(&program, OptLevel::Full).unwrap();
+    assert!(optimized.applied_passes.contains(&"linearization".to_string()));
+    assert_eq!(run(&optimized.program, &db), baseline);
+}
+
+#[test]
 fn magic_sets_reduce_derived_tuples_without_changing_results() {
     let db = graph_db(60);
     let program = reachability_program();
@@ -139,4 +171,81 @@ fn optimizer_is_idempotent() {
     let once = optimize(&program, OptLevel::Full).unwrap();
     let twice = optimize(&once.program, OptLevel::Full).unwrap();
     assert_eq!(once.program, twice.program);
+}
+
+/// The optimizer's output as text: every corpus query at every level for
+/// both backends, and the recursive programs above at `Full` and under each
+/// single-pass ablation. No corpus query fires linearization, so the latter
+/// are what pin its renaming.
+fn optimized_programs_text() -> String {
+    use raqlet::{CompileOptions, Raqlet, TargetBackend};
+    use raqlet_ldbc::{ALL_QUERIES, SNB_PG_SCHEMA};
+    use raqlet_opt::{optimize_for, OptimizedProgram};
+    use std::fmt::Write;
+
+    fn record(out: &mut String, label: &str, optimized: &OptimizedProgram) {
+        writeln!(out, "== {label}").unwrap();
+        writeln!(out, "passes: {}", optimized.applied_passes.join(", ")).unwrap();
+        for rule in &optimized.program.rules {
+            writeln!(out, "{rule}").unwrap();
+        }
+    }
+
+    let mut out = String::new();
+    let raqlet = Raqlet::from_pg_schema(SNB_PG_SCHEMA).unwrap();
+    let options = CompileOptions::new(OptLevel::None)
+        .with_param("personId", 42i64)
+        .with_param("otherId", 49i64)
+        .with_param("maxDate", 20_200_101i64)
+        .with_param("firstName", "Alice");
+    for query in ALL_QUERIES {
+        let unoptimized = raqlet.compile(query.cypher, &options).unwrap().unoptimized;
+        for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
+            for backend in [TargetBackend::Any, TargetBackend::Sql] {
+                let optimized = optimize_for(&unoptimized, level, backend).unwrap();
+                record(&mut out, &format!("{} {level:?} {backend:?}", query.name), &optimized);
+            }
+        }
+    }
+
+    let ablations: [(&str, fn(&mut PassConfig)); 7] = [
+        ("full", |_| {}),
+        ("no-inline", |c| c.inline = false),
+        ("no-constprop", |c| c.constant_propagation = false),
+        ("no-semantic", |c| c.semantic_joins = false),
+        ("no-dre", |c| c.dead_rule_elimination = false),
+        ("no-linearize", |c| c.linearization = false),
+        ("no-magic", |c| c.magic_sets = false),
+    ];
+    let programs = [
+        ("reachability", reachability_program()),
+        ("nonlinear-negation", nonlinear_with_negation()),
+        ("nonlinear-two-hop", nonlinear_two_hop()),
+    ];
+    for (name, program) in programs {
+        for (ablation, toggle) in ablations {
+            let mut config = PassConfig::for_level(OptLevel::Full);
+            toggle(&mut config);
+            let optimized = optimize_with(&program, &config).unwrap();
+            record(&mut out, &format!("{name} {ablation}"), &optimized);
+        }
+    }
+    out
+}
+
+/// Pins the optimizer's output byte for byte. A mismatch writes the actual
+/// text under the target directory; diff it against the golden file, and
+/// copy it over the golden file only if the change is intended.
+#[test]
+fn optimized_programs_match_the_golden_file() {
+    let actual = optimized_programs_text();
+    let expected = include_str!("golden/optimized_programs.txt");
+    if actual != expected {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("optimized_programs.txt");
+        std::fs::write(&path, &actual).unwrap();
+        panic!(
+            "optimizer output differs from tests/golden/optimized_programs.txt; actual output: {}",
+            path.display()
+        );
+    }
 }
