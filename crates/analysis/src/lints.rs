@@ -262,7 +262,6 @@ pub fn lint_duplicate_rules(program: &DlirProgram) -> Vec<Diagnostic> {
 /// Canonical rendering of a rule with variables renamed to `v0, v1, …` in
 /// first-occurrence order (head first, then body in order).
 fn canonical_rule(rule: &Rule) -> String {
-    let mut names: BTreeMap<String, String> = BTreeMap::new();
     let mut order: Vec<String> = Vec::new();
     for t in &rule.head.terms {
         if let Term::Var(v) = t {
@@ -283,63 +282,27 @@ fn canonical_rule(rule: &Rule) -> String {
             collect_var(v, &mut order);
         }
     }
-    for (i, v) in order.iter().enumerate() {
-        names.insert(v.clone(), format!("v{i}"));
-    }
+    let canonical = |v: &str| order.iter().position(|o| o == v).map(|i| format!("v{i}"));
+    let mut rename = |v: &str| canonical(v).map(Term::Var);
     let mut renamed = rule.clone();
-    rename_rule(&mut renamed, &names);
+    renamed.head.substitute(&mut rename);
+    for elem in &mut renamed.body {
+        elem.substitute(&mut rename);
+    }
+    if let Some(agg) = &mut renamed.aggregation {
+        let vars = agg.input_var.iter_mut().chain([&mut agg.output_var]).chain(&mut agg.group_by);
+        for v in vars {
+            if let Some(name) = canonical(v) {
+                *v = name;
+            }
+        }
+    }
     renamed.to_string()
 }
 
 fn collect_var(v: &str, order: &mut Vec<String>) {
     if !order.iter().any(|o| o == v) {
         order.push(v.to_string());
-    }
-}
-
-fn rename_rule(rule: &mut Rule, names: &BTreeMap<String, String>) {
-    let rn = |v: &mut String| {
-        if let Some(n) = names.get(v.as_str()) {
-            *v = n.clone();
-        }
-    };
-    let rn_term = |t: &mut Term| {
-        if let Term::Var(v) = t {
-            if let Some(n) = names.get(v.as_str()) {
-                *v = n.clone();
-            }
-        }
-    };
-    fn rn_expr(e: &mut raqlet_dlir::ir::DlExpr, names: &BTreeMap<String, String>) {
-        match e {
-            raqlet_dlir::ir::DlExpr::Var(v) => {
-                if let Some(n) = names.get(v.as_str()) {
-                    *v = n.clone();
-                }
-            }
-            raqlet_dlir::ir::DlExpr::Const(_) => {}
-            raqlet_dlir::ir::DlExpr::Arith { lhs, rhs, .. } => {
-                rn_expr(lhs, names);
-                rn_expr(rhs, names);
-            }
-        }
-    }
-    rule.head.terms.iter_mut().for_each(rn_term);
-    for elem in &mut rule.body {
-        match elem {
-            BodyElem::Atom(a) | BodyElem::Negated(a) => a.terms.iter_mut().for_each(rn_term),
-            BodyElem::Constraint { lhs, rhs, .. } => {
-                rn_expr(lhs, names);
-                rn_expr(rhs, names);
-            }
-        }
-    }
-    if let Some(agg) = &mut rule.aggregation {
-        if let Some(v) = &mut agg.input_var {
-            rn(v);
-        }
-        rn(&mut agg.output_var);
-        agg.group_by.iter_mut().for_each(rn);
     }
 }
 

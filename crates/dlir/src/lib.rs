@@ -12,7 +12,9 @@
 //! * [`depgraph`] — the predicate dependency graph and its SCCs;
 //! * [`mod@stratify`] — stratification (negation/aggregation must not occur in a
 //!   recursive cycle);
-//! * [`mod@validate`] — safety (range restriction) and arity validation.
+//! * [`mod@validate`] — safety (range restriction) and arity validation;
+//! * [`subst`] — in-place variable substitution and capture-avoiding
+//!   instantiation of a definition's body at a call site.
 
 // Robustness: non-test code must not unwrap/expect its way into a panic on a
 // reachable path — every justified exception carries an `#[allow]` with its
@@ -24,6 +26,7 @@ pub mod ir;
 pub mod lower;
 pub mod schema_gen;
 pub mod stratify;
+pub mod subst;
 pub mod validate;
 
 pub use depgraph::{DepGraph, DepKind, SccGroup};
@@ -31,4 +34,5 @@ pub use ir::*;
 pub use lower::{lower_pgir, lower_pgir_with_schema, LoweredQuery};
 pub use schema_gen::{edge_label_to_snake, generate_dl_schema};
 pub use stratify::{stratify, Stratification};
+pub use subst::instantiate;
 pub use validate::{bound_with_equalities, check_program, validate};

@@ -11,9 +11,10 @@
 //!   a time in dependency order. Non-looping components (no self- or mutual
 //!   recursion) evaluate in exactly **one round** with no delta machinery at
 //!   all; looping components run a fixpoint using either naive or
-//!   **semi-naive** evaluation (the default; naive is kept for the ablation
-//!   benchmarks), with the frontier and working set restricted to the
-//!   component's own relations;
+//!   **semi-naive** evaluation (the default; naive is the reference that
+//!   `tests/property_tests.rs` and `naive_and_semi_naive_agree` check
+//!   semi-naive evaluation against), with the frontier and working set
+//!   restricted to the component's own relations;
 //! * programs are *precompiled* into a `ProgramPlan`: validation,
 //!   stratification and per-rule slot resolution happen once, constants are
 //!   dictionary-encoded to packed [`Cell`]s, and every variable gets a fixed
@@ -67,7 +68,9 @@ use raqlet_dlir::{
 /// Fixpoint evaluation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalStrategy {
-    /// Re-derive everything each iteration (kept for comparison benchmarks).
+    /// Re-derive everything each iteration: the reference semi-naive
+    /// evaluation is tested against (`tests/property_tests.rs`,
+    /// `naive_and_semi_naive_agree`).
     Naive,
     /// Only join against the tuples derived in the previous iteration.
     #[default]
@@ -210,7 +213,9 @@ impl DatalogEngine {
         DatalogEngine { config: DatalogConfig::default() }
     }
 
-    /// An engine using naive evaluation (for ablation benchmarks).
+    /// An engine using naive evaluation: the reference that
+    /// `tests/property_tests.rs` and `naive_and_semi_naive_agree` check
+    /// semi-naive evaluation against.
     pub fn naive() -> Self {
         DatalogEngine {
             config: DatalogConfig { strategy: EvalStrategy::Naive, ..Default::default() },

@@ -11,38 +11,34 @@
 use std::collections::HashMap;
 
 use raqlet_common::Value;
-use raqlet_dlir::{Atom, BodyElem, CmpOp, DlExpr, DlirProgram, Rule, Term};
+use raqlet_dlir::{BodyElem, CmpOp, DlExpr, DlirProgram, Rule, Term};
 
-/// Run constant propagation over every rule. Returns the rewritten program
-/// and whether anything changed.
-pub fn propagate_constants(program: &DlirProgram) -> (DlirProgram, bool) {
-    let mut out = DlirProgram::new(program.schema.clone());
-    out.outputs = program.outputs.clone();
-    out.annotations = program.annotations.clone();
+/// Run constant propagation over every rule, in place. Returns whether
+/// anything changed.
+pub fn propagate_constants(program: &mut DlirProgram) -> bool {
     let mut changed = false;
-    for rule in &program.rules {
-        match simplify_rule(rule) {
-            SimplifyResult::Unchanged => out.add_rule(rule.clone()),
-            SimplifyResult::Rewritten(r) => {
-                changed = true;
-                out.add_rule(r);
-            }
-            SimplifyResult::Unsatisfiable => {
-                changed = true;
-                // Dropping the rule preserves semantics: it can never fire.
-            }
+    program.rules.retain_mut(|rule| match simplify_rule(rule) {
+        Simplified::Unchanged => true,
+        Simplified::Rewritten => {
+            changed = true;
+            true
         }
-    }
-    (out, changed)
+        Simplified::Unsatisfiable => {
+            // Dropping the rule preserves semantics: it can never fire.
+            changed = true;
+            false
+        }
+    });
+    changed
 }
 
-enum SimplifyResult {
+enum Simplified {
     Unchanged,
-    Rewritten(Rule),
+    Rewritten,
     Unsatisfiable,
 }
 
-fn simplify_rule(rule: &Rule) -> SimplifyResult {
+fn simplify_rule(rule: &mut Rule) -> Simplified {
     // Head variables must keep their names (they define the IDB's columns),
     // so only substitute variables that do not appear in the head. The
     // aggregation's variables are likewise preserved.
@@ -69,112 +65,62 @@ fn simplify_rule(rule: &Rule) -> SimplifyResult {
             }
         }
     }
+    let mut subst = |v: &str| consts.get(v).map(|c| Term::Const(c.clone()));
 
     let mut changed = false;
-    let mut new_body: Vec<BodyElem> = Vec::new();
-    for elem in &rule.body {
-        match elem {
-            BodyElem::Atom(a) => {
-                let (atom, c) = substitute_atom(a, &consts);
-                changed |= c;
-                new_body.push(BodyElem::Atom(atom));
-            }
-            BodyElem::Negated(a) => {
-                let (atom, c) = substitute_atom(a, &consts);
-                changed |= c;
-                new_body.push(BodyElem::Negated(atom));
-            }
-            BodyElem::Constraint { op, lhs, rhs } => {
-                let (l, cl) = substitute_expr(lhs, &consts);
-                let (r, cr) = substitute_expr(rhs, &consts);
-                let (l, fl) = fold_expr(&l);
-                let (r, fr) = fold_expr(&r);
-                changed |= cl || cr || fl || fr;
-                // Evaluate constraints over two constants.
-                if let (DlExpr::Const(a), DlExpr::Const(b)) = (&l, &r) {
-                    changed = true;
-                    if op.eval(a, b) {
-                        continue; // trivially true, drop it
-                    } else {
-                        return SimplifyResult::Unsatisfiable;
-                    }
-                }
-                // Keep var = const constraints for variables we could not
-                // substitute (head variables), drop the ones we fully
-                // propagated only if the variable appears nowhere else...
-                // keeping them is always safe, so we keep them.
-                new_body.push(BodyElem::Constraint { op: *op, lhs: l, rhs: r });
-            }
+    let mut unsatisfiable = false;
+    rule.body.retain_mut(|elem| {
+        if unsatisfiable {
+            return true;
         }
-    }
-
-    if !changed {
-        return SimplifyResult::Unchanged;
-    }
-    let mut new_rule = rule.clone();
-    new_rule.body = new_body;
-    SimplifyResult::Rewritten(new_rule)
-}
-
-fn substitute_atom(atom: &Atom, consts: &HashMap<String, Value>) -> (Atom, bool) {
-    let mut changed = false;
-    let terms = atom
-        .terms
-        .iter()
-        .map(|t| match t {
-            Term::Var(v) => {
-                if let Some(c) = consts.get(v) {
-                    changed = true;
-                    Term::Const(c.clone())
-                } else {
-                    t.clone()
-                }
+        changed |= elem.substitute(&mut subst);
+        let BodyElem::Constraint { op, lhs, rhs } = elem else { return true };
+        changed |= fold_expr(lhs) | fold_expr(rhs);
+        // Evaluate constraints over two constants: drop the trivially true
+        // ones. Constraints on variables we could not substitute (head
+        // variables) stay, and so do the `var = const` constraints that were
+        // propagated: keeping them is always safe.
+        if let (DlExpr::Const(a), DlExpr::Const(b)) = (&*lhs, &*rhs) {
+            changed = true;
+            if op.eval(a, b) {
+                return false;
             }
-            other => other.clone(),
-        })
-        .collect();
-    (Atom::new(atom.relation.clone(), terms), changed)
-}
+            unsatisfiable = true;
+        }
+        true
+    });
 
-fn substitute_expr(expr: &DlExpr, consts: &HashMap<String, Value>) -> (DlExpr, bool) {
-    match expr {
-        DlExpr::Var(v) => {
-            if let Some(c) = consts.get(v) {
-                (DlExpr::Const(c.clone()), true)
-            } else {
-                (expr.clone(), false)
-            }
-        }
-        DlExpr::Const(_) => (expr.clone(), false),
-        DlExpr::Arith { op, lhs, rhs } => {
-            let (l, cl) = substitute_expr(lhs, consts);
-            let (r, cr) = substitute_expr(rhs, consts);
-            (DlExpr::Arith { op: *op, lhs: Box::new(l), rhs: Box::new(r) }, cl || cr)
-        }
+    if unsatisfiable {
+        Simplified::Unsatisfiable
+    } else if changed {
+        Simplified::Rewritten
+    } else {
+        Simplified::Unchanged
     }
 }
 
-/// Fold constant arithmetic (`2 + 3` → `5`).
-fn fold_expr(expr: &DlExpr) -> (DlExpr, bool) {
-    match expr {
-        DlExpr::Arith { op, lhs, rhs } => {
-            let (l, cl) = fold_expr(lhs);
-            let (r, cr) = fold_expr(rhs);
-            if let (DlExpr::Const(a), DlExpr::Const(b)) = (&l, &r) {
-                if let Some(v) = op.eval(a, b) {
-                    return (DlExpr::Const(v), true);
-                }
-            }
-            (DlExpr::Arith { op: *op, lhs: Box::new(l), rhs: Box::new(r) }, cl || cr)
+/// Fold constant arithmetic (`2 + 3` → `5`) in place. Returns whether
+/// anything was folded.
+fn fold_expr(expr: &mut DlExpr) -> bool {
+    let DlExpr::Arith { op, lhs, rhs } = expr else { return false };
+    let changed = fold_expr(lhs) | fold_expr(rhs);
+    let folded = match (&**lhs, &**rhs) {
+        (DlExpr::Const(a), DlExpr::Const(b)) => op.eval(a, b),
+        _ => None,
+    };
+    match folded {
+        Some(v) => {
+            *expr = DlExpr::Const(v);
+            true
         }
-        other => (other.clone(), false),
+        None => changed,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raqlet_dlir::ArithOp;
+    use raqlet_dlir::{ArithOp, Atom};
 
     fn atom(name: &str, vars: &[&str]) -> BodyElem {
         BodyElem::Atom(Atom::with_vars(name, vars))
@@ -188,7 +134,8 @@ mod tests {
             Atom::with_vars("q", &["y"]),
             vec![atom("edge", &["x", "y"]), BodyElem::eq(DlExpr::var("x"), DlExpr::int(7))],
         ));
-        let (out, changed) = propagate_constants(&p);
+        let mut out = p;
+        let changed = propagate_constants(&mut out);
         assert!(changed);
         let q = out.rules_for("q")[0];
         assert_eq!(q.body[0].to_string(), "edge(7, y)");
@@ -203,7 +150,8 @@ mod tests {
             Atom::with_vars("Return", &["n"]),
             vec![atom("Person", &["n"]), BodyElem::eq(DlExpr::var("n"), DlExpr::int(42))],
         ));
-        let (out, changed) = propagate_constants(&p);
+        let mut out = p;
+        let changed = propagate_constants(&mut out);
         assert!(!changed);
         let r = out.rules_for("Return")[0];
         assert_eq!(r.body[0].to_string(), "Person(n)");
@@ -219,7 +167,8 @@ mod tests {
                 BodyElem::Constraint { op: CmpOp::Lt, lhs: DlExpr::int(1), rhs: DlExpr::int(2) },
             ],
         ));
-        let (out, changed) = propagate_constants(&p);
+        let mut out = p;
+        let changed = propagate_constants(&mut out);
         assert!(changed);
         assert_eq!(out.rules_for("q")[0].body.len(), 1);
     }
@@ -235,7 +184,8 @@ mod tests {
             ],
         ));
         p.add_rule(Rule::new(Atom::with_vars("q", &["x"]), vec![atom("edge", &["x", "x"])]));
-        let (out, changed) = propagate_constants(&p);
+        let mut out = p;
+        let changed = propagate_constants(&mut out);
         assert!(changed);
         assert_eq!(out.rules_for("q").len(), 1);
     }
@@ -257,7 +207,8 @@ mod tests {
                 ),
             ],
         ));
-        let (out, changed) = propagate_constants(&p);
+        let mut out = p;
+        let changed = propagate_constants(&mut out);
         assert!(changed);
         let q = out.rules_for("q")[0];
         assert!(q.body.iter().any(|b| b.to_string() == "l = 5"), "{q}");
@@ -274,7 +225,8 @@ mod tests {
                 BodyElem::Negated(Atom::with_vars("blocked", &["x"])),
             ],
         ));
-        let (out, _) = propagate_constants(&p);
+        let mut out = p;
+        propagate_constants(&mut out);
         let q = out.rules_for("q")[0];
         assert!(q.body.iter().any(|b| b.to_string() == "!blocked(3)"), "{q}");
     }

@@ -9,9 +9,9 @@ use std::collections::BTreeSet;
 
 use raqlet_dlir::DlirProgram;
 
-/// Remove rules that cannot contribute to any output relation. Returns the
-/// rewritten program and whether anything was removed.
-pub fn eliminate_dead_rules(program: &DlirProgram) -> (DlirProgram, bool) {
+/// Remove rules that cannot contribute to any output relation, in place.
+/// Returns whether anything was removed.
+pub fn eliminate_dead_rules(program: &mut DlirProgram) -> bool {
     // Compute the set of relations reachable from the outputs by walking
     // rule bodies transitively.
     let mut live: BTreeSet<String> = program.outputs.iter().cloned().collect();
@@ -29,18 +29,9 @@ pub fn eliminate_dead_rules(program: &DlirProgram) -> (DlirProgram, bool) {
         }
     }
 
-    let mut out = DlirProgram::new(program.schema.clone());
-    out.outputs = program.outputs.clone();
-    out.annotations = program.annotations.clone();
-    let mut removed = false;
-    for rule in &program.rules {
-        if live.contains(&rule.head.relation) {
-            out.add_rule(rule.clone());
-        } else {
-            removed = true;
-        }
-    }
-    (out, removed)
+    let before = program.rules.len();
+    program.rules.retain(|rule| live.contains(&rule.head.relation));
+    program.rules.len() != before
 }
 
 #[cfg(test)]
@@ -62,7 +53,8 @@ mod tests {
         p.add_rule(Rule::new(Atom::with_vars("Return", &["n"]), vec![atom("Person", &["n"])]));
         p.add_output("Return");
 
-        let (optimized, changed) = eliminate_dead_rules(&p);
+        let mut optimized = p;
+        let changed = eliminate_dead_rules(&mut optimized);
         assert!(changed);
         assert_eq!(optimized.rules.len(), 1);
         assert_eq!(optimized.rules[0].head.relation, "Return");
@@ -74,7 +66,8 @@ mod tests {
         p.add_rule(Rule::new(Atom::with_vars("Match1", &["n"]), vec![atom("Person", &["n"])]));
         p.add_rule(Rule::new(Atom::with_vars("Return", &["n"]), vec![atom("Match1", &["n"])]));
         p.add_output("Return");
-        let (optimized, changed) = eliminate_dead_rules(&p);
+        let mut optimized = p;
+        let changed = eliminate_dead_rules(&mut optimized);
         assert!(!changed);
         assert_eq!(optimized.rules.len(), 2);
     }
@@ -88,7 +81,8 @@ mod tests {
             vec![atom("node", &["x"]), BodyElem::Negated(Atom::with_vars("blocked", &["x"]))],
         ));
         p.add_output("Return");
-        let (optimized, changed) = eliminate_dead_rules(&p);
+        let mut optimized = p;
+        let changed = eliminate_dead_rules(&mut optimized);
         assert!(!changed);
         assert_eq!(optimized.rules.len(), 2);
     }
@@ -103,7 +97,8 @@ mod tests {
         ));
         p.add_rule(Rule::new(Atom::with_vars("dead", &["x"]), vec![atom("edge", &["x", "x"])]));
         p.add_output("tc");
-        let (optimized, changed) = eliminate_dead_rules(&p);
+        let mut optimized = p;
+        let changed = eliminate_dead_rules(&mut optimized);
         assert!(changed);
         assert_eq!(optimized.rules.len(), 2);
         assert!(optimized.rules.iter().all(|r| r.head.relation == "tc"));
@@ -113,7 +108,8 @@ mod tests {
     fn programs_without_outputs_drop_everything() {
         let mut p = DlirProgram::default();
         p.add_rule(Rule::new(Atom::with_vars("q", &["x"]), vec![atom("edge", &["x", "y"])]));
-        let (optimized, changed) = eliminate_dead_rules(&p);
+        let mut optimized = p;
+        let changed = eliminate_dead_rules(&mut optimized);
         assert!(changed);
         assert!(optimized.rules.is_empty());
     }

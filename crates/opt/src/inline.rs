@@ -1,8 +1,9 @@
 //! Rule inlining (Section 5, "Inlining").
 //!
 //! An IDB atom in a rule body is replaced by the body of the rule defining
-//! it, after renaming the definition's variables: head variables map onto the
-//! caller's argument terms, every other variable gets a fresh name. Inlining
+//! it, after renaming the definition's variables ([`instantiate`]): head
+//! variables map onto the caller's argument terms, every other variable —
+//! and a head variable whose argument is `_` — gets a fresh name. Inlining
 //! is performed only when it is semantics-preserving and non-exploding:
 //!
 //! * the callee must not be recursive;
@@ -15,86 +16,53 @@
 //! turns the paper's Figure 3d into Figure 4a (the duplicated `Person` atom
 //! in `Where1` disappears).
 
-use std::collections::HashMap;
+use raqlet_dlir::{instantiate, Atom, BodyElem, DepGraph, DlirProgram, Rule};
 
-use raqlet_dlir::{Atom, BodyElem, DepGraph, DlExpr, DlirProgram, Rule, Term};
+/// Maximum number of defining rules a callee may have to still be inlined
+/// (each definition multiplies the calling rule).
+const MAX_DEFINITIONS: usize = 4;
 
-/// Configuration for the inlining pass.
-#[derive(Debug, Clone)]
-pub struct InlineConfig {
-    /// Maximum number of defining rules a callee may have to still be
-    /// inlined (each definition multiplies the calling rule).
-    pub max_definitions: usize,
-    /// Maximum number of inlining sweeps (each sweep inlines one level).
-    pub max_rounds: usize,
-}
+/// Maximum number of inlining sweeps (each sweep inlines one level).
+const MAX_ROUNDS: usize = 8;
 
-impl Default for InlineConfig {
-    fn default() -> Self {
-        InlineConfig { max_definitions: 4, max_rounds: 8 }
-    }
-}
-
-/// Run the inlining pass, returning the rewritten program and whether any
-/// change was made.
-pub fn inline(program: &DlirProgram, config: &InlineConfig) -> (DlirProgram, bool) {
-    let mut current = program.clone();
-    let mut changed_any = false;
-    for _ in 0..config.max_rounds {
-        let (next, changed) = inline_once(&current, config);
-        current = next;
-        if !changed {
+/// Run the inlining pass in place. Returns whether any change was made.
+pub fn inline(program: &mut DlirProgram) -> bool {
+    let mut changed = false;
+    for _ in 0..MAX_ROUNDS {
+        if !inline_once(program) {
             break;
         }
-        changed_any = true;
+        changed = true;
     }
-    (current, changed_any)
+    changed
 }
 
-fn inline_once(program: &DlirProgram, config: &InlineConfig) -> (DlirProgram, bool) {
+fn inline_once(program: &mut DlirProgram) -> bool {
     let graph = DepGraph::build(program);
-    let mut out = DlirProgram::new(program.schema.clone());
-    out.outputs = program.outputs.clone();
-    out.annotations = program.annotations.clone();
-
-    let mut changed = false;
-    for rule in &program.rules {
-        let mut expanded = vec![rule.clone()];
-        // Try to inline the first inlinable atom in each rule; iterating the
-        // pass handles the rest.
-        let target = rule.body.iter().enumerate().find_map(|(i, elem)| match elem {
-            BodyElem::Atom(atom) if inlinable(program, &graph, rule, atom, config) => Some(i),
-            _ => None,
-        });
-        if let Some(idx) = target {
-            let BodyElem::Atom(call) = &rule.body[idx] else { unreachable!() };
-            let definitions = program.rules_for(&call.relation);
-            let mut new_rules = Vec::new();
-            for def in definitions {
-                let mut new_rule = rule.clone();
-                let substituted = substitute_body(def, call, rule);
-                new_rule.body.splice(idx..=idx, substituted);
-                dedup_body(&mut new_rule.body);
-                new_rules.push(new_rule);
-            }
-            expanded = new_rules;
-            changed = true;
-        }
-        for r in expanded {
-            out.add_rule(r);
-        }
-    }
-    (out, changed)
+    // Inline the first inlinable atom in each rule; later sweeps handle the
+    // rest.
+    let expansions: Vec<(usize, Vec<Rule>)> = program
+        .rules
+        .iter()
+        .enumerate()
+        .filter_map(|(i, rule)| {
+            let idx = rule.body.iter().position(|elem| {
+                matches!(elem, BodyElem::Atom(atom) if inlinable(program, &graph, rule, atom))
+            })?;
+            let BodyElem::Atom(call) = &rule.body[idx] else { return None };
+            let expanded = program
+                .rules_for(&call.relation)
+                .into_iter()
+                .map(|def| expand_call(rule, idx, instantiate(def, call, rule, "_i")))
+                .collect();
+            Some((i, expanded))
+        })
+        .collect();
+    replace_rules(&mut program.rules, expansions)
 }
 
 /// Is `atom` a call site we can inline into `caller`?
-fn inlinable(
-    program: &DlirProgram,
-    graph: &DepGraph,
-    caller: &Rule,
-    atom: &Atom,
-    config: &InlineConfig,
-) -> bool {
+fn inlinable(program: &DlirProgram, graph: &DepGraph, caller: &Rule, atom: &Atom) -> bool {
     let name = &atom.relation;
     if !program.is_idb(name) {
         return false;
@@ -105,7 +73,7 @@ fn inlinable(
         return false;
     }
     let defs = program.rules_for(name);
-    if defs.is_empty() || defs.len() > config.max_definitions {
+    if defs.is_empty() || defs.len() > MAX_DEFINITIONS {
         return false;
     }
     if defs.iter().any(|d| d.aggregation.is_some()) {
@@ -130,117 +98,29 @@ fn inlinable(
     true
 }
 
-/// Instantiate the body of `def` for the call site `call` occurring in
-/// `caller`: head variables of `def` are replaced by the corresponding call
-/// arguments, all other variables are renamed to avoid capture.
-fn substitute_body(def: &Rule, call: &Atom, caller: &Rule) -> Vec<BodyElem> {
-    // Mapping from the definition's head variables to the caller's terms.
-    let mut mapping: HashMap<String, Term> = HashMap::new();
-    for (def_term, call_term) in def.head.terms.iter().zip(&call.terms) {
-        if let Term::Var(v) = def_term {
-            mapping.insert(v.clone(), call_term.clone());
-        }
-    }
-    // Variables already used in the caller (to avoid capture when renaming
-    // the definition's local variables).
-    let mut used: Vec<String> = Vec::new();
-    for elem in &caller.body {
-        used.extend(elem.variables());
-    }
-    used.extend(caller.head.variables());
-
-    let mut local_renames: HashMap<String, String> = HashMap::new();
-    let mut fresh_idx = 0usize;
-    let mut map_term =
-        |t: &Term, mapping: &HashMap<String, Term>, local: &mut HashMap<String, String>| -> Term {
-            match t {
-                Term::Var(v) => {
-                    if let Some(replacement) = mapping.get(v) {
-                        replacement.clone()
-                    } else {
-                        let name = local.entry(v.clone()).or_insert_with(|| loop {
-                            let candidate = format!("{v}_i{fresh_idx}");
-                            fresh_idx += 1;
-                            if !used.contains(&candidate) {
-                                used.push(candidate.clone());
-                                break candidate;
-                            }
-                        });
-                        Term::Var(name.clone())
-                    }
-                }
-                other => other.clone(),
-            }
-        };
-
-    let map_expr = |e: &DlExpr,
-                    mapping: &HashMap<String, Term>,
-                    local: &HashMap<String, String>|
-     -> DlExpr { rename_expr(e, mapping, local) };
-
-    let mut out = Vec::new();
-    for elem in &def.body {
-        let new_elem = match elem {
-            BodyElem::Atom(a) => BodyElem::Atom(Atom::new(
-                a.relation.clone(),
-                a.terms.iter().map(|t| map_term(t, &mapping, &mut local_renames)).collect(),
-            )),
-            BodyElem::Negated(a) => BodyElem::Negated(Atom::new(
-                a.relation.clone(),
-                a.terms.iter().map(|t| map_term(t, &mapping, &mut local_renames)).collect(),
-            )),
-            BodyElem::Constraint { op, lhs, rhs } => {
-                // Ensure variables in constraints get renamed consistently:
-                // first walk them as terms so `local_renames` is populated.
-                let mut vars = Vec::new();
-                lhs.variables(&mut vars);
-                rhs.variables(&mut vars);
-                for v in vars {
-                    let _ = map_term(&Term::Var(v), &mapping, &mut local_renames);
-                }
-                BodyElem::Constraint {
-                    op: *op,
-                    lhs: map_expr(lhs, &mapping, &local_renames),
-                    rhs: map_expr(rhs, &mapping, &local_renames),
-                }
-            }
-        };
-        out.push(new_elem);
-    }
-    out
+/// `caller` with the body element at `idx` replaced by `body`, minus exact
+/// duplicate body elements.
+pub(crate) fn expand_call(caller: &Rule, idx: usize, body: Vec<BodyElem>) -> Rule {
+    let mut rule = caller.clone();
+    rule.body.splice(idx..=idx, body);
+    dedup_body(&mut rule.body);
+    rule
 }
 
-fn rename_expr(
-    e: &DlExpr,
-    mapping: &HashMap<String, Term>,
-    local: &HashMap<String, String>,
-) -> DlExpr {
-    match e {
-        DlExpr::Var(v) => {
-            if let Some(t) = mapping.get(v) {
-                match t {
-                    Term::Var(name) => DlExpr::Var(name.clone()),
-                    Term::Const(c) => DlExpr::Const(c.clone()),
-                    Term::Wildcard => DlExpr::Var(v.clone()),
-                }
-            } else if let Some(renamed) = local.get(v) {
-                DlExpr::Var(renamed.clone())
-            } else {
-                DlExpr::Var(v.clone())
-            }
-        }
-        DlExpr::Const(c) => DlExpr::Const(c.clone()),
-        DlExpr::Arith { op, lhs, rhs } => DlExpr::Arith {
-            op: *op,
-            lhs: Box::new(rename_expr(lhs, mapping, local)),
-            rhs: Box::new(rename_expr(rhs, mapping, local)),
-        },
+/// Replace each rule `rules[i]` by the rules of its expansion `(i, ..)`,
+/// keeping the order. `expansions` is sorted by index. Returns whether
+/// there was anything to replace.
+pub(crate) fn replace_rules(rules: &mut Vec<Rule>, expansions: Vec<(usize, Vec<Rule>)>) -> bool {
+    let changed = !expansions.is_empty();
+    for (i, expanded) in expansions.into_iter().rev() {
+        rules.splice(i..=i, expanded);
     }
+    changed
 }
 
 /// Remove exact duplicate body elements (e.g. the duplicated `Person` atom
 /// after inlining in the paper's running example).
-pub fn dedup_body(body: &mut Vec<BodyElem>) {
+fn dedup_body(body: &mut Vec<BodyElem>) {
     let mut seen: Vec<BodyElem> = Vec::new();
     body.retain(|elem| {
         if seen.contains(elem) {
@@ -255,7 +135,7 @@ pub fn dedup_body(body: &mut Vec<BodyElem>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raqlet_dlir::{CmpOp, Term};
+    use raqlet_dlir::{CmpOp, DlExpr, Term};
 
     fn atom(name: &str, vars: &[&str]) -> BodyElem {
         BodyElem::Atom(Atom::with_vars(name, vars))
@@ -300,7 +180,8 @@ mod tests {
     #[test]
     fn inlining_the_running_example_matches_figure4a() {
         let p = figure3d();
-        let (inlined, changed) = inline(&p, &InlineConfig::default());
+        let mut inlined = p.clone();
+        let changed = inline(&mut inlined);
         assert!(changed);
         // After full inlining, the Return rule no longer references Where1 or
         // Match1.
@@ -317,7 +198,8 @@ mod tests {
     #[test]
     fn duplicate_atoms_are_removed_after_inlining() {
         let p = figure3d();
-        let (inlined, _) = inline(&p, &InlineConfig::default());
+        let mut inlined = p.clone();
+        inline(&mut inlined);
         // Where1 inlines Match1, which mentions Person(n); Where1 already
         // mentions Person(n) — only one copy remains (Figure 4a).
         let where1 = inlined.rules_for("Where1")[0];
@@ -334,7 +216,8 @@ mod tests {
         ));
         p.add_rule(Rule::new(Atom::with_vars("q", &["x"]), vec![atom("tc", &["x", "y"])]));
         p.add_output("q");
-        let (inlined, changed) = inline(&p, &InlineConfig::default());
+        let mut inlined = p.clone();
+        let changed = inline(&mut inlined);
         assert!(!changed);
         assert_eq!(inlined.rules.len(), p.rules.len());
     }
@@ -350,7 +233,8 @@ mod tests {
             vec![atom("v", &["x"]), atom("c", &["x"])],
         ));
         p.add_output("q");
-        let (inlined, changed) = inline(&p, &InlineConfig::default());
+        let mut inlined = p.clone();
+        let changed = inline(&mut inlined);
         assert!(changed);
         let q_rules = inlined.rules_for("q");
         assert_eq!(q_rules.len(), 2);
@@ -366,8 +250,7 @@ mod tests {
         }
         p.add_rule(Rule::new(Atom::with_vars("q", &["x"]), vec![atom("v", &["x"])]));
         p.add_output("q");
-        let config = InlineConfig { max_definitions: 4, ..Default::default() };
-        let (_, changed) = inline(&p, &config);
+        let changed = inline(&mut p);
         assert!(!changed, "five definitions exceed the limit of four");
     }
 
@@ -387,7 +270,7 @@ mod tests {
         p.add_rule(deg);
         p.add_rule(Rule::new(Atom::with_vars("q", &["x", "d"]), vec![atom("deg", &["x", "d"])]));
         p.add_output("q");
-        let (_, changed) = inline(&p, &InlineConfig::default());
+        let changed = inline(&mut p);
         assert!(!changed);
     }
 
@@ -405,7 +288,8 @@ mod tests {
             vec![atom("seed", &["x"]), atom("e", &["x", "y"])],
         ));
         p.add_output("q");
-        let (inlined, changed) = inline(&p, &InlineConfig::default());
+        let mut inlined = p.clone();
+        let changed = inline(&mut inlined);
         assert!(!changed);
         assert!(inlined.rules_for("q")[0].positive_dependencies().contains(&"seed"));
     }
@@ -418,7 +302,7 @@ mod tests {
         p.add_rule(Rule::new(Atom::with_vars("refl", &["x", "x"]), vec![atom("node", &["x"])]));
         p.add_rule(Rule::new(Atom::with_vars("q", &["a", "b"]), vec![atom("refl", &["a", "b"])]));
         p.add_output("q");
-        let (_, changed) = inline(&p, &InlineConfig::default());
+        let changed = inline(&mut p);
         assert!(!changed);
     }
 
@@ -432,7 +316,8 @@ mod tests {
             vec![BodyElem::Atom(Atom::new("v", vec![Term::int(7), Term::var("y")]))],
         ));
         p.add_output("q");
-        let (inlined, _) = inline(&p, &InlineConfig::default());
+        let mut inlined = p.clone();
+        inline(&mut inlined);
         let q = inlined.rules_for("q")[0];
         assert_eq!(q.body[0].to_string(), "e(7, y)");
     }
@@ -448,7 +333,8 @@ mod tests {
             vec![atom("v", &["x"]), atom("f", &["z"])],
         ));
         p.add_output("q");
-        let (inlined, _) = inline(&p, &InlineConfig::default());
+        let mut inlined = p.clone();
+        inline(&mut inlined);
         let q = inlined.rules_for("q")[0];
         let e_atom =
             q.body.iter().filter_map(|b| b.as_positive_atom()).find(|a| a.relation == "e").unwrap();

@@ -1,8 +1,9 @@
 //! # raqlet-opt
 //!
 //! DLIR-level query optimization (Section 5 of the paper). The passes are
-//! independent `DlirProgram → DlirProgram` rewrites orchestrated by a small
-//! pass manager ([`pipeline`]):
+//! independent in-place rewrites of shape `fn(&mut DlirProgram) -> bool`
+//! (the flag says whether the program changed), orchestrated by a small pass
+//! manager ([`pipeline`]):
 //!
 //! * [`mod@inline`] — view/rule inlining with duplicate-atom removal;
 //! * [`dead`] — dead rule elimination;
@@ -42,9 +43,10 @@
 //! ));
 //! program.add_output("Return");
 //!
-//! // The Datalog-targeted pipeline pushes the bound source into the
-//! // recursion via magic sets; the SQL-targeted one leaves it out.
-//! let datalog = optimize_for(&program, OptLevel::Full, TargetBackend::Datalog).unwrap();
+//! // The default pipeline, also the one for Datalog engines, pushes the
+//! // bound source into the recursion via magic sets; the SQL-targeted one
+//! // leaves it out.
+//! let datalog = optimize_for(&program, OptLevel::Full, TargetBackend::Any).unwrap();
 //! assert!(datalog.program.idb_names().iter().any(|n| n.starts_with("Magic_")));
 //! assert!(datalog.applied_passes.contains(&"magic-sets".to_string()));
 //!
@@ -67,7 +69,7 @@ pub mod semantic;
 
 pub use constprop::propagate_constants;
 pub use dead::eliminate_dead_rules;
-pub use inline::{inline, InlineConfig};
+pub use inline::inline;
 pub use linearize::linearize;
 pub use magic::magic_sets;
 pub use pipeline::{

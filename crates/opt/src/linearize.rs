@@ -24,184 +24,72 @@
 //! exactly two positive atoms over the head's own relation (plus optional
 //! constraints), where the predicate also has at least one non-recursive
 //! rule. The second recursive atom is replaced by each base rule's body
-//! (renamed), yielding one linear rule per base rule.
+//! (instantiated at the call as in inlining, with fresh names suffixed
+//! `_l`), yielding one linear rule per base rule.
 
-use std::collections::HashMap;
+use raqlet_dlir::{instantiate, BodyElem, DepGraph, DlirProgram, Rule};
 
-use raqlet_dlir::{Atom, BodyElem, DepGraph, DlirProgram, Rule, Term};
+use crate::inline::{expand_call, replace_rules};
 
-use crate::inline::dedup_body;
-
-/// Linearize non-linear recursive rules where possible. Returns the rewritten
-/// program and whether anything changed.
-pub fn linearize(program: &DlirProgram) -> (DlirProgram, bool) {
+/// Linearize non-linear recursive rules where possible, in place. Returns
+/// whether anything changed.
+pub fn linearize(program: &mut DlirProgram) -> bool {
     let graph = DepGraph::build(program);
-    let mut out = DlirProgram::new(program.schema.clone());
-    out.outputs = program.outputs.clone();
-    out.annotations = program.annotations.clone();
-    let mut changed = false;
-
-    for rule in &program.rules {
-        let head_rel = &rule.head.relation;
-        if !graph.is_recursive(head_rel) || rule.aggregation.is_some() {
-            out.add_rule(rule.clone());
-            continue;
-        }
-        // Positions of body atoms that reference the head relation itself.
-        let recursive_positions: Vec<usize> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| match b.as_positive_atom() {
-                Some(a) if a.relation == *head_rel => Some(i),
-                _ => None,
-            })
-            .collect();
-        if recursive_positions.len() != 2 {
-            out.add_rule(rule.clone());
-            continue;
-        }
-        // Base (non-recursive) rules of the same predicate.
-        let base_rules: Vec<&Rule> = program
-            .rules_for(head_rel)
-            .into_iter()
-            .filter(|r| r.count_positive(head_rel) == 0 && r.aggregation.is_none())
-            .collect();
-        if base_rules.is_empty() {
-            out.add_rule(rule.clone());
-            continue;
-        }
-
-        // Replace the *second* recursive atom with each base definition.
-        let replace_at = recursive_positions[1];
-        let BodyElem::Atom(call) = &rule.body[replace_at] else { unreachable!() };
-        for base in &base_rules {
-            let substituted = instantiate(base, call, rule);
-            let mut new_rule = rule.clone();
-            new_rule.body.splice(replace_at..=replace_at, substituted);
-            dedup_body(&mut new_rule.body);
-            out.add_rule(new_rule);
-        }
-        changed = true;
-    }
-    (out, changed)
-}
-
-/// Instantiate `base`'s body for the call site `call` in `caller` (same
-/// head-variable mapping + capture-avoiding renaming as inlining).
-fn instantiate(base: &Rule, call: &Atom, caller: &Rule) -> Vec<BodyElem> {
-    let mut mapping: HashMap<String, Term> = HashMap::new();
-    for (def_term, call_term) in base.head.terms.iter().zip(&call.terms) {
-        if let Term::Var(v) = def_term {
-            mapping.insert(v.clone(), call_term.clone());
-        }
-    }
-    let mut used: Vec<String> = caller.head.variables();
-    for b in &caller.body {
-        used.extend(b.variables());
-    }
-    let mut renames: HashMap<String, String> = HashMap::new();
-    let mut fresh = 0usize;
-
-    let map_term = |t: &Term,
-                    mapping: &HashMap<String, Term>,
-                    renames: &mut HashMap<String, String>,
-                    used: &mut Vec<String>,
-                    fresh: &mut usize|
-     -> Term {
-        match t {
-            Term::Var(v) => {
-                if let Some(r) = mapping.get(v) {
-                    r.clone()
-                } else {
-                    let name = renames
-                        .entry(v.clone())
-                        .or_insert_with(|| loop {
-                            let candidate = format!("{v}_l{fresh}");
-                            *fresh += 1;
-                            if !used.contains(&candidate) {
-                                used.push(candidate.clone());
-                                break candidate;
-                            }
-                        })
-                        .clone();
-                    Term::Var(name)
-                }
-            }
-            other => other.clone(),
-        }
-    };
-
-    base.body
+    let expansions: Vec<(usize, Vec<Rule>)> = program
+        .rules
         .iter()
-        .map(|elem| match elem {
-            BodyElem::Atom(a) => BodyElem::Atom(Atom::new(
-                a.relation.clone(),
-                a.terms
-                    .iter()
-                    .map(|t| map_term(t, &mapping, &mut renames, &mut used, &mut fresh))
-                    .collect(),
-            )),
-            BodyElem::Negated(a) => BodyElem::Negated(Atom::new(
-                a.relation.clone(),
-                a.terms
-                    .iter()
-                    .map(|t| map_term(t, &mapping, &mut renames, &mut used, &mut fresh))
-                    .collect(),
-            )),
-            BodyElem::Constraint { op, lhs, rhs } => BodyElem::Constraint {
-                op: *op,
-                lhs: rename_expr(lhs, &mapping, &mut renames, &mut used, &mut fresh),
-                rhs: rename_expr(rhs, &mapping, &mut renames, &mut used, &mut fresh),
-            },
-        })
-        .collect()
-}
-
-fn rename_expr(
-    e: &raqlet_dlir::DlExpr,
-    mapping: &HashMap<String, Term>,
-    renames: &mut HashMap<String, String>,
-    used: &mut Vec<String>,
-    fresh: &mut usize,
-) -> raqlet_dlir::DlExpr {
-    use raqlet_dlir::DlExpr;
-    match e {
-        DlExpr::Var(v) => {
-            if let Some(t) = mapping.get(v) {
-                match t {
-                    Term::Var(name) => DlExpr::Var(name.clone()),
-                    Term::Const(c) => DlExpr::Const(c.clone()),
-                    Term::Wildcard => DlExpr::Var(v.clone()),
-                }
-            } else {
-                let name = renames
-                    .entry(v.clone())
-                    .or_insert_with(|| loop {
-                        let candidate = format!("{v}_l{fresh}");
-                        *fresh += 1;
-                        if !used.contains(&candidate) {
-                            used.push(candidate.clone());
-                            break candidate;
-                        }
-                    })
-                    .clone();
-                DlExpr::Var(name)
+        .enumerate()
+        .filter_map(|(i, rule)| {
+            let head_rel = &rule.head.relation;
+            if !graph.is_recursive(head_rel) || rule.aggregation.is_some() {
+                return None;
             }
-        }
-        DlExpr::Const(c) => DlExpr::Const(c.clone()),
-        DlExpr::Arith { op, lhs, rhs } => DlExpr::Arith {
-            op: *op,
-            lhs: Box::new(rename_expr(lhs, mapping, renames, used, fresh)),
-            rhs: Box::new(rename_expr(rhs, mapping, renames, used, fresh)),
-        },
-    }
+            // Positions of body atoms that reference the head relation itself.
+            let recursive_positions: Vec<usize> = rule
+                .body
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, b)| match b.as_positive_atom() {
+                    Some(a) if a.relation == *head_rel => Some(pos),
+                    _ => None,
+                })
+                .collect();
+            if recursive_positions.len() != 2 {
+                return None;
+            }
+            // Base (non-recursive) rules of the same predicate.
+            let base_rules: Vec<&Rule> = program
+                .rules_for(head_rel)
+                .into_iter()
+                .filter(|r| r.count_positive(head_rel) == 0 && r.aggregation.is_none())
+                .collect();
+            // Instantiation maps head variables onto the call's arguments,
+            // so a constant or repeated head variable (`tc(x, x) :- node(x).`)
+            // would lose its binding: leave such a predicate alone, as
+            // inlining does.
+            if base_rules.is_empty()
+                || base_rules.iter().any(|r| r.head.variables().len() != r.head.arity())
+            {
+                return None;
+            }
+            // Replace the *second* recursive atom with each base definition.
+            let replace_at = recursive_positions[1];
+            let BodyElem::Atom(call) = &rule.body[replace_at] else { return None };
+            let expanded = base_rules
+                .into_iter()
+                .map(|base| expand_call(rule, replace_at, instantiate(base, call, rule, "_l")))
+                .collect();
+            Some((i, expanded))
+        })
+        .collect();
+    replace_rules(&mut program.rules, expansions)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use raqlet_analysis::{linearity, Linearity};
+    use raqlet_dlir::{Atom, Term};
 
     fn atom(name: &str, vars: &[&str]) -> BodyElem {
         BodyElem::Atom(Atom::with_vars(name, vars))
@@ -220,7 +108,8 @@ mod tests {
 
     #[test]
     fn nonlinear_tc_becomes_linear() {
-        let (out, changed) = linearize(&nonlinear_tc());
+        let mut out = nonlinear_tc();
+        let changed = linearize(&mut out);
         assert!(changed);
         assert_eq!(linearity(&out), Linearity::Linear);
         // The rewritten recursive rule joins tc with the base relation.
@@ -237,7 +126,8 @@ mod tests {
             Atom::with_vars("tc", &["x", "y"]),
             vec![atom("tc", &["x", "z"]), atom("edge", &["z", "y"])],
         ));
-        let (out, changed) = linearize(&p);
+        let mut out = p;
+        let changed = linearize(&mut out);
         assert!(!changed);
         assert_eq!(out.rules.len(), 2);
     }
@@ -249,7 +139,7 @@ mod tests {
             Atom::with_vars("tc", &["x", "y"]),
             vec![atom("tc", &["x", "z"]), atom("tc", &["z", "y"])],
         ));
-        let (_, changed) = linearize(&p);
+        let changed = linearize(&mut p);
         assert!(!changed);
     }
 
@@ -257,7 +147,8 @@ mod tests {
     fn multiple_base_rules_produce_multiple_linear_rules() {
         let mut p = nonlinear_tc();
         p.add_rule(Rule::new(Atom::with_vars("tc", &["x", "y"]), vec![atom("edge2", &["x", "y"])]));
-        let (out, changed) = linearize(&p);
+        let mut out = p;
+        let changed = linearize(&mut out);
         assert!(changed);
         // 2 base rules + 2 linearized recursive rules.
         assert_eq!(out.rules_for("tc").len(), 4);
@@ -276,7 +167,8 @@ mod tests {
             Atom::with_vars("tc", &["x", "y"]),
             vec![atom("tc", &["x", "w"]), atom("tc", &["w", "y"])],
         ));
-        let (out, changed) = linearize(&p);
+        let mut out = p;
+        let changed = linearize(&mut out);
         assert!(changed);
         let recursive =
             out.rules_for("tc").into_iter().find(|r| r.count_positive("tc") == 1).unwrap();

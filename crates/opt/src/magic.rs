@@ -24,17 +24,17 @@
 use raqlet_common::Value;
 use raqlet_dlir::{Atom, BodyElem, CmpOp, DepGraph, DlExpr, DlirProgram, Rule, Term};
 
-/// A magic-set candidate: (consumer rule index, target IDB relation, bound
-/// argument positions with their constant values).
-type CallSite = (usize, String, Vec<(usize, Value)>);
+/// A magic-set candidate: target IDB relation, and the bound argument
+/// positions with their constant values.
+type CallSite = (String, Vec<(usize, Value)>);
 
-/// Apply the magic-set transformation. Returns the rewritten program and
-/// whether anything changed.
-pub fn magic_sets(program: &DlirProgram) -> (DlirProgram, bool) {
+/// Apply the magic-set transformation in place. Returns whether anything
+/// changed.
+pub fn magic_sets(program: &mut DlirProgram) -> bool {
     let graph = DepGraph::build(program);
 
     let mut candidates: Vec<CallSite> = Vec::new();
-    for (rule_idx, rule) in program.rules.iter().enumerate() {
+    for rule in &program.rules {
         // Constants available through equality constraints in this rule.
         let const_of = |var: &str| -> Option<Value> {
             rule.body.iter().find_map(|b| match b {
@@ -71,36 +71,49 @@ pub fn magic_sets(program: &DlirProgram) -> (DlirProgram, bool) {
                 }
             }
             if !bound.is_empty() {
-                candidates.push((rule_idx, atom.relation.clone(), bound));
+                candidates.push((atom.relation.clone(), bound));
             }
         }
     }
 
-    if candidates.is_empty() {
-        return (program.clone(), false);
-    }
-
     // Apply the transformation for the first eligible target (iterating the
     // optimizer pipeline handles multiple targets).
-    for (_, target, bound) in candidates {
-        if let Some(rewritten) = try_transform(program, &graph, &target, &bound) {
-            return (rewritten, true);
-        }
+    let Some((target, (magic_name, bound))) = candidates.into_iter().find_map(|(target, bound)| {
+        eligible_binding(program, &graph, &target, &bound).map(|found| (target, found))
+    }) else {
+        return false;
+    };
+
+    // Seed rule: Magic_P(c1, ..., ck).
+    let seed = Rule::new(
+        Atom::new(magic_name.clone(), bound.iter().map(|(_, c)| Term::Const(c.clone())).collect()),
+        vec![],
+    );
+    // Guard every defining rule with the magic predicate joined on the
+    // bound head arguments.
+    for rule in program.rules.iter_mut().filter(|r| r.head.relation == target) {
+        let magic_atom = Atom::new(
+            magic_name.clone(),
+            bound.iter().map(|(i, _)| rule.head.terms[*i].clone()).collect(),
+        );
+        rule.body.insert(0, BodyElem::Atom(magic_atom));
     }
-    (program.clone(), false)
+    program.rules.insert(0, seed);
+    true
 }
 
 fn adornment(arity: usize, bound: &[(usize, Value)]) -> String {
     (0..arity).map(|i| if bound.iter().any(|(b, _)| *b == i) { 'b' } else { 'f' }).collect()
 }
 
-/// Check eligibility of `target` and build the transformed program.
-fn try_transform(
+/// Check eligibility of `target`: the magic predicate's name and the bound
+/// positions that propagate through the recursion.
+fn eligible_binding(
     program: &DlirProgram,
     graph: &DepGraph,
     target: &str,
     bound: &[(usize, Value)],
-) -> Option<DlirProgram> {
+) -> Option<(String, Vec<(usize, Value)>)> {
     let defs = program.rules_for(target);
     if defs.is_empty() {
         return None;
@@ -149,33 +162,7 @@ fn try_transform(
         return None;
     }
 
-    let mut out = DlirProgram::new(program.schema.clone());
-    out.outputs = program.outputs.clone();
-    out.annotations = program.annotations.clone();
-
-    // Seed rule: Magic_P(c1, ..., ck).
-    let seed = Rule::new(
-        Atom::new(magic_name.clone(), bound.iter().map(|(_, c)| Term::Const(c.clone())).collect()),
-        vec![],
-    );
-    out.add_rule(seed);
-
-    for rule in &program.rules {
-        if rule.head.relation == *target {
-            // Guard every defining rule with the magic predicate joined on
-            // the bound head arguments.
-            let magic_atom = Atom::new(
-                magic_name.clone(),
-                bound.iter().map(|(i, _)| rule.head.terms[*i].clone()).collect(),
-            );
-            let mut guarded = rule.clone();
-            guarded.body.insert(0, BodyElem::Atom(magic_atom));
-            out.add_rule(guarded);
-        } else {
-            out.add_rule(rule.clone());
-        }
-    }
-    Some(out)
+    Some((magic_name, bound))
 }
 
 #[cfg(test)]
@@ -206,7 +193,8 @@ mod tests {
 
     #[test]
     fn reachability_from_a_constant_source_is_transformed() {
-        let (out, changed) = magic_sets(&reachability_from_source());
+        let mut out = reachability_from_source();
+        let changed = magic_sets(&mut out);
         assert!(changed);
         // A magic predicate with adornment bf exists and is seeded with 1.
         let magic_rules = out.rules_for("Magic_tc_bf");
@@ -234,7 +222,8 @@ mod tests {
             vec![BodyElem::Atom(Atom::new("tc", vec![Term::int(7), Term::var("y")]))],
         ));
         p.add_output("Return");
-        let (out, changed) = magic_sets(&p);
+        let mut out = p;
+        let changed = magic_sets(&mut out);
         assert!(changed);
         assert_eq!(out.rules_for("Magic_tc_bf")[0].to_string(), "Magic_tc_bf(7).");
     }
@@ -252,7 +241,7 @@ mod tests {
             vec![atom("tc", &["x", "y"])],
         ));
         p.add_output("Return");
-        let (_, changed) = magic_sets(&p);
+        let changed = magic_sets(&mut p);
         assert!(!changed);
     }
 
@@ -273,7 +262,7 @@ mod tests {
             vec![atom("tc", &["x", "y"]), BodyElem::eq(DlExpr::var("x"), DlExpr::int(1))],
         ));
         p.add_output("Return");
-        let (_, changed) = magic_sets(&p);
+        let changed = magic_sets(&mut p);
         assert!(!changed);
     }
 
@@ -290,14 +279,17 @@ mod tests {
             vec![atom("tc", &["x", "y"]), BodyElem::eq(DlExpr::var("x"), DlExpr::int(1))],
         ));
         p.add_output("Return");
-        let (_, changed) = magic_sets(&p);
+        let changed = magic_sets(&mut p);
         assert!(!changed);
     }
 
     #[test]
     fn transformation_is_idempotent() {
-        let (once, _) = magic_sets(&reachability_from_source());
-        let (_twice, changed_again) = magic_sets(&once);
+        let mut program = reachability_from_source();
+        assert!(magic_sets(&mut program));
+        let once = program.clone();
+        let changed_again = magic_sets(&mut program);
+        assert_eq!(program, once);
         assert!(!changed_again);
     }
 
@@ -318,7 +310,8 @@ mod tests {
             ],
         ));
         p.add_output("Return");
-        let (out, changed) = magic_sets(&p);
+        let mut out = p;
+        let changed = magic_sets(&mut out);
         assert!(changed);
         // Only the source position propagates through the recursion (y is
         // rewritten by the recursive rule), so the adornment stays `bf`.

@@ -1,22 +1,27 @@
 //! The optimization pass manager.
 //!
-//! Passes are small `DlirProgram → DlirProgram` functions; the pipeline runs
-//! them in a fixed order, repeating until a fixpoint (or an iteration cap) is
-//! reached, and records which passes fired. The ordering mirrors Section 5 of
-//! the paper: inline first (it exposes further opportunities), then
-//! semantic join elimination and constant propagation, then dead-rule
-//! elimination, and finally the recursion-aware rewrites (linearization and
-//! magic sets).
+//! Every pass has the shape `fn(&mut DlirProgram) -> bool`: it rewrites the
+//! program in place and reports whether it changed anything (a pass that
+//! reports no change has left the program untouched). The pipeline runs the
+//! enabled passes in a fixed order, repeating until a fixpoint (or an
+//! iteration cap) is reached, and records which passes fired. The ordering
+//! mirrors Section 5 of the paper: inline first (it exposes further
+//! opportunities), then semantic join elimination and constant propagation,
+//! then dead-rule elimination, and finally the recursion-aware rewrites
+//! (linearization and magic sets).
 
 use raqlet_common::Result;
 use raqlet_dlir::{validate, DlirProgram};
 
 use crate::constprop::propagate_constants;
 use crate::dead::eliminate_dead_rules;
-use crate::inline::{inline, InlineConfig};
+use crate::inline::inline;
 use crate::linearize::linearize;
 use crate::magic::magic_sets;
 use crate::semantic::optimize_joins;
+
+/// Maximum number of whole-pipeline iterations.
+const MAX_ITERATIONS: usize = 4;
 
 /// How aggressively to optimize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,12 +47,11 @@ pub enum OptLevel {
 /// `tests/backend_targeting.rs` pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TargetBackend {
-    /// No backend commitment: run every pass of the level (the historical
-    /// behaviour, also right for bottom-up Datalog engines like Soufflé).
+    /// No backend commitment: run every pass of the level. This is the
+    /// pass set for bottom-up Datalog engines (Soufflé or the in-tree
+    /// simulator).
     #[default]
     Any,
-    /// A bottom-up Datalog engine (Soufflé or the in-tree simulator).
-    Datalog,
     /// A SQL engine evaluating recursive CTEs with working-table semantics
     /// (DuckDB / HyPer or the in-tree simulators): magic sets are skipped.
     Sql,
@@ -62,18 +66,16 @@ impl TargetBackend {
 }
 
 /// Which individual passes to run; constructed from an [`OptLevel`] or
-/// customised field by field (used by the ablation benchmarks).
+/// customised field by field (the per-pass ablation in
+/// `tests/optimization_soundness.rs` turns each off in turn).
 #[derive(Debug, Clone)]
 pub struct PassConfig {
     pub inline: bool,
-    pub inline_config: InlineConfig,
     pub constant_propagation: bool,
     pub semantic_joins: bool,
     pub dead_rule_elimination: bool,
     pub linearization: bool,
     pub magic_sets: bool,
-    /// Maximum number of whole-pipeline iterations.
-    pub max_iterations: usize,
 }
 
 impl PassConfig {
@@ -88,13 +90,11 @@ impl PassConfig {
     pub fn for_target(level: OptLevel, backend: TargetBackend) -> Self {
         let all = PassConfig {
             inline: true,
-            inline_config: InlineConfig::default(),
             constant_propagation: true,
             semantic_joins: true,
             dead_rule_elimination: true,
             linearization: true,
             magic_sets: backend.wants_magic_sets(),
-            max_iterations: 4,
         };
         match level {
             OptLevel::None => PassConfig {
@@ -104,7 +104,6 @@ impl PassConfig {
                 dead_rule_elimination: false,
                 linearization: false,
                 magic_sets: false,
-                ..all
             },
             OptLevel::Basic => PassConfig { linearization: false, magic_sets: false, ..all },
             OptLevel::Full => all,
@@ -167,62 +166,27 @@ pub fn optimize_for_backends(
 
 /// Optimize with an explicit pass configuration.
 pub fn optimize_with(program: &DlirProgram, config: &PassConfig) -> Result<OptimizedProgram> {
+    type Pass = fn(&mut DlirProgram) -> bool;
+    let passes: [(&str, bool, Pass); 6] = [
+        ("inline", config.inline, inline),
+        ("constant-propagation", config.constant_propagation, propagate_constants),
+        ("semantic-joins", config.semantic_joins, optimize_joins),
+        ("dead-rule-elimination", config.dead_rule_elimination, eliminate_dead_rules),
+        ("linearization", config.linearization, linearize),
+        ("magic-sets", config.magic_sets, magic_sets),
+    ];
     let rules_before = program.rules.len();
     let mut current = program.clone();
     let mut applied = Vec::new();
 
-    for _ in 0..config.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         let mut changed_this_round = false;
-
-        if config.inline {
-            let (next, changed) = inline(&current, &config.inline_config);
-            if changed {
-                applied.push("inline".to_string());
-                current = next;
+        for (name, enabled, pass) in passes {
+            if enabled && pass(&mut current) {
+                applied.push(name.to_string());
                 changed_this_round = true;
             }
         }
-        if config.constant_propagation {
-            let (next, changed) = propagate_constants(&current);
-            if changed {
-                applied.push("constant-propagation".to_string());
-                current = next;
-                changed_this_round = true;
-            }
-        }
-        if config.semantic_joins {
-            let (next, changed) = optimize_joins(&current);
-            if changed {
-                applied.push("semantic-joins".to_string());
-                current = next;
-                changed_this_round = true;
-            }
-        }
-        if config.dead_rule_elimination {
-            let (next, changed) = eliminate_dead_rules(&current);
-            if changed {
-                applied.push("dead-rule-elimination".to_string());
-                current = next;
-                changed_this_round = true;
-            }
-        }
-        if config.linearization {
-            let (next, changed) = linearize(&current);
-            if changed {
-                applied.push("linearization".to_string());
-                current = next;
-                changed_this_round = true;
-            }
-        }
-        if config.magic_sets {
-            let (next, changed) = magic_sets(&current);
-            if changed {
-                applied.push("magic-sets".to_string());
-                current = next;
-                changed_this_round = true;
-            }
-        }
-
         if !changed_this_round {
             break;
         }
@@ -352,9 +316,9 @@ mod tests {
         assert!(!sql.applied_passes.contains(&"magic-sets".to_string()));
         assert!(!sql.program.idb_names().iter().any(|n| n.starts_with("Magic_")));
 
-        let datalog = optimize_for(&p, OptLevel::Full, TargetBackend::Datalog).unwrap();
-        assert!(datalog.applied_passes.contains(&"magic-sets".to_string()));
-        assert!(datalog.program.idb_names().iter().any(|n| n.starts_with("Magic_")));
+        let any = optimize_for(&p, OptLevel::Full, TargetBackend::Any).unwrap();
+        assert!(any.applied_passes.contains(&"magic-sets".to_string()));
+        assert!(any.program.idb_names().iter().any(|n| n.starts_with("Magic_")));
     }
 
     #[test]

@@ -17,74 +17,61 @@
 //!   type (paper: "eliminating joins based on reasoning over integrity
 //!   constraints").
 
-use raqlet_common::schema::RelationKind;
+use raqlet_common::schema::{DlSchema, RelationKind};
 use raqlet_dlir::{Atom, BodyElem, DlirProgram, Rule, Term};
 
-/// Run the semantic join optimizations. Returns the rewritten program and
-/// whether anything changed.
-pub fn optimize_joins(program: &DlirProgram) -> (DlirProgram, bool) {
-    let mut out = DlirProgram::new(program.schema.clone());
-    out.outputs = program.outputs.clone();
-    out.annotations = program.annotations.clone();
+/// Run the semantic join optimizations in place. Returns whether anything
+/// changed.
+pub fn optimize_joins(program: &mut DlirProgram) -> bool {
+    let schema = &program.schema;
     let mut changed = false;
-    for rule in &program.rules {
-        let (rule1, c1) = merge_key_self_joins(program, rule);
-        let (rule2, c2) = drop_implied_node_lookups(program, &rule1);
-        changed |= c1 | c2;
-        out.add_rule(rule2);
+    for rule in &mut program.rules {
+        changed |= merge_key_self_joins(schema, rule) | drop_implied_node_lookups(schema, rule);
     }
-    (out, changed)
+    changed
 }
 
 /// Merge positive atoms over the same relation whose declared key columns are
-/// bound to identical terms.
-fn merge_key_self_joins(program: &DlirProgram, rule: &Rule) -> (Rule, bool) {
-    let mut body: Vec<BodyElem> = Vec::new();
+/// bound to identical terms: each atom is merged into the first earlier atom
+/// it can be merged with.
+fn merge_key_self_joins(schema: &DlSchema, rule: &mut Rule) -> bool {
     let mut changed = false;
-
-    'outer: for elem in &rule.body {
-        let BodyElem::Atom(atom) = elem else {
-            body.push(elem.clone());
-            continue;
-        };
-        let Some(decl) = program.schema.get(&atom.relation) else {
-            body.push(elem.clone());
-            continue;
-        };
-        if decl.key.is_empty() {
-            body.push(elem.clone());
-            continue;
-        }
-        // Look for an existing atom over the same relation with the same key
-        // terms; merge into it if found.
-        for existing in body.iter_mut() {
-            let BodyElem::Atom(prev) = existing else { continue };
-            if prev.relation != atom.relation {
-                continue;
-            }
-            let same_key = decl.key.iter().all(|&k| {
-                matches!((&prev.terms.get(k), &atom.terms.get(k)), (Some(a), Some(b))
-                    if a == b && !matches!(a, Term::Wildcard))
-            });
-            if !same_key {
-                continue;
-            }
-            if let Some(merged) = merge_atoms(prev, atom) {
-                *prev = merged;
+    let mut i = 0;
+    while i < rule.body.len() {
+        match merge_target(schema, &rule.body[..i], &rule.body[i]) {
+            Some((j, merged)) => {
+                rule.body[j] = BodyElem::Atom(merged);
+                rule.body.remove(i);
                 changed = true;
-                continue 'outer;
             }
+            None => i += 1,
         }
-        body.push(elem.clone());
     }
+    changed
+}
 
-    if changed {
-        let mut r = rule.clone();
-        r.body = body;
-        (r, true)
-    } else {
-        (rule.clone(), false)
+/// The position in `earlier` of an atom over the same relation as `elem`
+/// with the same key terms, and the two atoms merged.
+fn merge_target(schema: &DlSchema, earlier: &[BodyElem], elem: &BodyElem) -> Option<(usize, Atom)> {
+    let BodyElem::Atom(atom) = elem else { return None };
+    let decl = schema.get(&atom.relation)?;
+    if decl.key.is_empty() {
+        return None;
     }
+    earlier.iter().enumerate().find_map(|(j, existing)| {
+        let BodyElem::Atom(prev) = existing else { return None };
+        if prev.relation != atom.relation {
+            return None;
+        }
+        let same_key = decl.key.iter().all(|&k| {
+            matches!((&prev.terms.get(k), &atom.terms.get(k)), (Some(a), Some(b))
+                if a == b && !matches!(a, Term::Wildcard))
+        });
+        if !same_key {
+            return None;
+        }
+        merge_atoms(prev, atom).map(|merged| (j, merged))
+    })
 }
 
 /// Merge two atoms over the same relation describing the same row. Returns
@@ -119,7 +106,7 @@ fn merge_atoms(a: &Atom, b: &Atom) -> Option<Atom> {
 /// Drop node-EDB atoms that only re-check existence of a key already implied
 /// by an edge atom in the same body (referential integrity of the generated
 /// schema: edge rows only reference existing node keys).
-fn drop_implied_node_lookups(program: &DlirProgram, rule: &Rule) -> (Rule, bool) {
+fn drop_implied_node_lookups(schema: &DlSchema, rule: &mut Rule) -> bool {
     // Which variables appear in the endpoint columns of an edge EDB atom, and
     // which node relation does referential integrity imply for them? The
     // generated edge EDB names encode the endpoint labels as
@@ -127,7 +114,7 @@ fn drop_implied_node_lookups(program: &DlirProgram, rule: &Rule) -> (Rule, bool)
     let mut edge_endpoint_vars: Vec<(String, String)> = Vec::new();
     for elem in &rule.body {
         if let BodyElem::Atom(atom) = elem {
-            if let Some(decl) = program.schema.get(&atom.relation) {
+            if let Some(decl) = schema.get(&atom.relation) {
                 if decl.kind == RelationKind::EdgeEdb {
                     let src_label = atom.relation.split('_').next().unwrap_or_default().to_string();
                     let dst_label =
@@ -141,51 +128,30 @@ fn drop_implied_node_lookups(program: &DlirProgram, rule: &Rule) -> (Rule, bool)
             }
         }
     }
-    if edge_endpoint_vars.is_empty() {
-        return (rule.clone(), false);
-    }
-
-    let mut changed = false;
-    let body: Vec<BodyElem> = rule
-        .body
-        .iter()
-        .filter(|elem| {
-            let BodyElem::Atom(atom) = elem else { return true };
-            let Some(decl) = program.schema.get(&atom.relation) else { return true };
-            if decl.kind != RelationKind::NodeEdb {
-                return true;
-            }
-            // Keep the atom if it binds anything beyond its key column.
-            let binds_only_key = atom.terms.iter().enumerate().all(|(i, t)| {
-                if i == 0 {
-                    true
-                } else {
-                    matches!(t, Term::Wildcard)
-                }
-            });
-            if !binds_only_key {
-                return true;
-            }
-            let Some(Term::Var(key_var)) = atom.terms.first() else { return true };
-            let implied =
-                edge_endpoint_vars.iter().any(|(v, label)| v == key_var && *label == atom.relation);
-            if implied {
-                changed = true;
-                false
-            } else {
+    let before = rule.body.len();
+    rule.body.retain(|elem| {
+        let BodyElem::Atom(atom) = elem else { return true };
+        let Some(decl) = schema.get(&atom.relation) else { return true };
+        if decl.kind != RelationKind::NodeEdb {
+            return true;
+        }
+        // Keep the atom if it binds anything beyond its key column.
+        let binds_only_key = atom.terms.iter().enumerate().all(|(i, t)| {
+            if i == 0 {
                 true
+            } else {
+                matches!(t, Term::Wildcard)
             }
-        })
-        .cloned()
-        .collect();
-
-    if changed {
-        let mut r = rule.clone();
-        r.body = body;
-        (r, true)
-    } else {
-        (rule.clone(), false)
-    }
+        });
+        if !binds_only_key {
+            return true;
+        }
+        let Some(Term::Var(key_var)) = atom.terms.first() else { return true };
+        let implied =
+            edge_endpoint_vars.iter().any(|(v, label)| v == key_var && *label == atom.relation);
+        !implied
+    });
+    rule.body.len() != before
 }
 
 #[cfg(test)]
@@ -247,7 +213,8 @@ mod tests {
             ],
         ));
         p.add_output("Return");
-        let (out, changed) = optimize_joins(&p);
+        let mut out = p;
+        let changed = optimize_joins(&mut out);
         assert!(changed);
         let r = out.rules_for("Return")[0];
         assert_eq!(r.count_positive("Person"), 1);
@@ -273,7 +240,8 @@ mod tests {
             ],
         ));
         p.add_output("Return");
-        let (out, _) = optimize_joins(&p);
+        let mut out = p;
+        optimize_joins(&mut out);
         // drop_implied_node_lookups doesn't apply (no edge atom); both stay,
         // except they only bind keys... but they are head variables via key,
         // so they must stay to bind a and b.
@@ -298,7 +266,8 @@ mod tests {
             ],
         ));
         p.add_output("Return");
-        let (out, changed) = optimize_joins(&p);
+        let mut out = p;
+        let changed = optimize_joins(&mut out);
         assert!(!changed);
         assert_eq!(out.rules_for("Return")[0].count_positive("Person"), 2);
     }
@@ -320,7 +289,8 @@ mod tests {
             ],
         ));
         prog.add_output("Match1");
-        let (out, changed) = optimize_joins(&prog);
+        let mut out = prog;
+        let changed = optimize_joins(&mut out);
         assert!(changed);
         let rule = out.rules_for("Match1")[0];
         assert_eq!(rule.body.len(), 1);
@@ -343,7 +313,8 @@ mod tests {
             ],
         ));
         prog.add_output("Return");
-        let (out, _) = optimize_joins(&prog);
+        let mut out = prog;
+        optimize_joins(&mut out);
         let rule = out.rules_for("Return")[0];
         assert_eq!(rule.count_positive("Person"), 1);
     }
@@ -359,7 +330,8 @@ mod tests {
             ],
         ));
         prog.add_output("q");
-        let (out, changed) = optimize_joins(&prog);
+        let mut out = prog;
+        let changed = optimize_joins(&mut out);
         assert!(!changed);
         assert_eq!(out.rules_for("q")[0].count_positive("mystery"), 2);
     }

@@ -3,7 +3,7 @@
 //! goal, checked empirically).
 
 use raqlet::{Database, DatalogEngine, Value};
-use raqlet_dlir::{Atom, BodyElem, CmpOp, DlExpr, DlirProgram, Rule};
+use raqlet_dlir::{Atom, BodyElem, CmpOp, DlExpr, DlirProgram, Rule, Term};
 use raqlet_opt::{optimize, optimize_with, OptLevel, PassConfig};
 
 fn atom(name: &str, vars: &[&str]) -> BodyElem {
@@ -145,6 +145,101 @@ fn linearizing_a_base_rule_with_constrained_locals_preserves_results() {
     assert_eq!(run(&optimized.program, &db), baseline);
 }
 
+/// `p(x, y) :- edge(x, y), y > 3.` called with `_` for `y`: the callee's
+/// `y` is local to the call. Inlining must not bind it to the caller's `y`
+/// in the constraint, nor leave it unbound when the caller has no `y`.
+#[test]
+fn inlining_through_a_wildcard_argument_keeps_the_callee_variable_local() {
+    let db = graph_db(12);
+    let callee = Rule::new(
+        Atom::with_vars("p", &["x", "y"]),
+        vec![
+            atom("edge", &["x", "y"]),
+            BodyElem::Constraint { op: CmpOp::Gt, lhs: DlExpr::var("y"), rhs: DlExpr::int(3) },
+        ],
+    );
+    let call = BodyElem::Atom(Atom::new("p", vec![Term::var("x"), Term::Wildcard]));
+    let callers = [
+        Rule::new(Atom::with_vars("Return", &["x", "y"]), vec![call.clone(), atom("node", &["y"])]),
+        Rule::new(Atom::with_vars("Return", &["x"]), vec![call]),
+    ];
+    for caller in callers {
+        let mut program = DlirProgram::default();
+        program.add_rule(callee.clone());
+        program.add_rule(caller.clone());
+        program.add_output("Return");
+        let baseline = run(&program, &db);
+        assert!(!baseline.is_empty());
+        for level in [OptLevel::Basic, OptLevel::Full] {
+            let optimized = optimize(&program, level).unwrap();
+            assert!(optimized.applied_passes.contains(&"inline".to_string()));
+            assert_eq!(run(&optimized.program, &db), baseline, "{caller} at {level:?}");
+        }
+    }
+}
+
+/// The same capture through linearization: the base rule's `y` is bound to
+/// `_` at the second recursive call and must not meet the rule's own `y`.
+/// `tc(x, y) :- tc(x, z), tc(z, _), edge(z, y).` On edges 1→5, 5→6 and
+/// 5→2 it derives `tc(1, 2)`, which a captured `y > 3` would filter out.
+#[test]
+fn linearizing_through_a_wildcard_argument_keeps_the_base_variable_local() {
+    let mut db = Database::new();
+    for (from, to) in [(1, 5), (5, 6), (5, 2)] {
+        db.insert_fact("edge", vec![Value::Int(from), Value::Int(to)]).unwrap();
+    }
+    let mut program = DlirProgram::default();
+    program.add_rule(Rule::new(
+        Atom::with_vars("tc", &["x", "y"]),
+        vec![
+            atom("edge", &["x", "y"]),
+            BodyElem::Constraint { op: CmpOp::Gt, lhs: DlExpr::var("y"), rhs: DlExpr::int(3) },
+        ],
+    ));
+    program.add_rule(Rule::new(
+        Atom::with_vars("tc", &["x", "y"]),
+        vec![
+            atom("tc", &["x", "z"]),
+            BodyElem::Atom(Atom::new("tc", vec![Term::var("z"), Term::Wildcard])),
+            atom("edge", &["z", "y"]),
+        ],
+    ));
+    program
+        .add_rule(Rule::new(Atom::with_vars("Return", &["x", "y"]), vec![atom("tc", &["x", "y"])]));
+    program.add_output("Return");
+    let baseline = run(&program, &db);
+    assert!(baseline.contains(&vec![Value::Int(1), Value::Int(2)]));
+    let optimized = optimize(&program, OptLevel::Full).unwrap();
+    assert!(optimized.applied_passes.contains(&"linearization".to_string()));
+    assert_eq!(run(&optimized.program, &db), baseline);
+}
+
+/// A base rule with a repeated head variable: `tc(x, x) :- node(x).` makes
+/// `tc` reflexive. Instantiating it at `tc(z, y)` must keep `z = y`, so
+/// linearization leaves the predicate alone rather than drop the binding.
+#[test]
+fn linearization_keeps_the_binding_of_a_repeated_base_head_variable() {
+    let db = graph_db(12);
+    let mut program = DlirProgram::default();
+    program.add_rule(Rule::new(Atom::with_vars("tc", &["x", "x"]), vec![atom("node", &["x"])]));
+    program
+        .add_rule(Rule::new(Atom::with_vars("tc", &["x", "y"]), vec![atom("edge", &["x", "y"])]));
+    program.add_rule(Rule::new(
+        Atom::with_vars("tc", &["x", "y"]),
+        vec![atom("tc", &["x", "z"]), atom("tc", &["z", "y"])],
+    ));
+    program.add_rule(Rule::new(
+        Atom::with_vars("Return", &["y"]),
+        vec![atom("tc", &["x", "y"]), BodyElem::eq(DlExpr::var("x"), DlExpr::int(0))],
+    ));
+    program.add_output("Return");
+    let baseline = run(&program, &db);
+    for level in [OptLevel::Basic, OptLevel::Full] {
+        let optimized = optimize(&program, level).unwrap();
+        assert_eq!(run(&optimized.program, &db), baseline, "{level:?}");
+    }
+}
+
 #[test]
 fn magic_sets_reduce_derived_tuples_without_changing_results() {
     let db = graph_db(60);
@@ -173,13 +268,38 @@ fn optimizer_is_idempotent() {
     assert_eq!(once.program, twice.program);
 }
 
+/// The unoptimized program of every corpus query, by query name.
+fn corpus_programs() -> Vec<(&'static str, DlirProgram)> {
+    use raqlet::{CompileOptions, Raqlet};
+    use raqlet_ldbc::{ALL_QUERIES, SNB_PG_SCHEMA};
+
+    let raqlet = Raqlet::from_pg_schema(SNB_PG_SCHEMA).unwrap();
+    let options = CompileOptions::new(OptLevel::None)
+        .with_param("personId", 42i64)
+        .with_param("otherId", 49i64)
+        .with_param("maxDate", 20_200_101i64)
+        .with_param("firstName", "Alice");
+    ALL_QUERIES
+        .iter()
+        .map(|query| (query.name, raqlet.compile(query.cypher, &options).unwrap().unoptimized))
+        .collect()
+}
+
+/// The recursive fixtures above, by name.
+fn fixture_programs() -> [(&'static str, DlirProgram); 3] {
+    [
+        ("reachability", reachability_program()),
+        ("nonlinear-negation", nonlinear_with_negation()),
+        ("nonlinear-two-hop", nonlinear_two_hop()),
+    ]
+}
+
 /// The optimizer's output as text: every corpus query at every level for
-/// both backends, and the recursive programs above at `Full` and under each
+/// both backends, and the recursive fixtures at `Full` and under each
 /// single-pass ablation. No corpus query fires linearization, so the latter
 /// are what pin its renaming.
 fn optimized_programs_text() -> String {
-    use raqlet::{CompileOptions, Raqlet, TargetBackend};
-    use raqlet_ldbc::{ALL_QUERIES, SNB_PG_SCHEMA};
+    use raqlet::TargetBackend;
     use raqlet_opt::{optimize_for, OptimizedProgram};
     use std::fmt::Write;
 
@@ -192,23 +312,17 @@ fn optimized_programs_text() -> String {
     }
 
     let mut out = String::new();
-    let raqlet = Raqlet::from_pg_schema(SNB_PG_SCHEMA).unwrap();
-    let options = CompileOptions::new(OptLevel::None)
-        .with_param("personId", 42i64)
-        .with_param("otherId", 49i64)
-        .with_param("maxDate", 20_200_101i64)
-        .with_param("firstName", "Alice");
-    for query in ALL_QUERIES {
-        let unoptimized = raqlet.compile(query.cypher, &options).unwrap().unoptimized;
+    for (name, unoptimized) in corpus_programs() {
         for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
             for backend in [TargetBackend::Any, TargetBackend::Sql] {
                 let optimized = optimize_for(&unoptimized, level, backend).unwrap();
-                record(&mut out, &format!("{} {level:?} {backend:?}", query.name), &optimized);
+                record(&mut out, &format!("{name} {level:?} {backend:?}"), &optimized);
             }
         }
     }
 
-    let ablations: [(&str, fn(&mut PassConfig)); 7] = [
+    type Toggle = fn(&mut PassConfig);
+    let ablations: [(&str, Toggle); 7] = [
         ("full", |_| {}),
         ("no-inline", |c| c.inline = false),
         ("no-constprop", |c| c.constant_propagation = false),
@@ -217,12 +331,7 @@ fn optimized_programs_text() -> String {
         ("no-linearize", |c| c.linearization = false),
         ("no-magic", |c| c.magic_sets = false),
     ];
-    let programs = [
-        ("reachability", reachability_program()),
-        ("nonlinear-negation", nonlinear_with_negation()),
-        ("nonlinear-two-hop", nonlinear_two_hop()),
-    ];
-    for (name, program) in programs {
+    for (name, program) in fixture_programs() {
         for (ablation, toggle) in ablations {
             let mut config = PassConfig::for_level(OptLevel::Full);
             toggle(&mut config);
@@ -247,5 +356,34 @@ fn optimized_programs_match_the_golden_file() {
             "optimizer output differs from tests/golden/optimized_programs.txt; actual output: {}",
             path.display()
         );
+    }
+}
+
+/// A pass that reports no change must leave the program exactly as it was:
+/// the pipeline relies on that to detect its fixpoint. Checked on every
+/// program state the pipeline passes through.
+#[test]
+fn passes_that_report_no_change_leave_the_program_untouched() {
+    use raqlet_opt::{
+        eliminate_dead_rules, inline, linearize, magic_sets, optimize_joins, propagate_constants,
+    };
+    type Pass = fn(&mut DlirProgram) -> bool;
+    let passes: [(&str, Pass); 6] = [
+        ("inline", inline),
+        ("constant-propagation", propagate_constants),
+        ("semantic-joins", optimize_joins),
+        ("dead-rule-elimination", eliminate_dead_rules),
+        ("linearization", linearize),
+        ("magic-sets", magic_sets),
+    ];
+    for (name, mut program) in corpus_programs().into_iter().chain(fixture_programs()) {
+        for round in 0..4 {
+            for (pass, run_pass) in passes {
+                let before = format!("{program:?}");
+                if !run_pass(&mut program) {
+                    assert_eq!(format!("{program:?}"), before, "{name}, round {round}: {pass}");
+                }
+            }
+        }
     }
 }
