@@ -2253,6 +2253,176 @@ mod tests {
         }
     }
 
+    /// Guard-checkpoint hits of one guarded evaluation, by checkpoint kind,
+    /// checked against the total that `fault::count_checkpoints` reports.
+    fn checkpoints_by_kind(
+        engine: &DatalogEngine,
+        program: &DlirProgram,
+        db: &Database,
+    ) -> Vec<(String, u64)> {
+        use std::sync::{Arc, Mutex};
+        let kinds = Arc::new(Mutex::new(std::collections::BTreeMap::<String, u64>::new()));
+        let sink = Arc::clone(&kinds);
+        let guard = QueryGuard::new().with_fault_hook(Arc::new(move |site, _| {
+            *sink.lock().unwrap().entry(format!("{site:?}")).or_default() += 1;
+            None
+        }));
+        engine.evaluate_guarded(program, db, &guard).unwrap();
+        let total = crate::fault::count_checkpoints(|g| {
+            engine.evaluate_guarded(program, db, g).map(|_| ())
+        })
+        .unwrap();
+        let kinds: Vec<(String, u64)> = kinds.lock().unwrap().clone().into_iter().collect();
+        assert_eq!(kinds.iter().map(|(_, n)| n).sum::<u64>(), total, "{kinds:?}");
+        kinds
+    }
+
+    /// Evaluate `program` once on one thread and once forcibly partitioned
+    /// over four, asserting each run's full stats, output sizes and
+    /// checkpoint hits per kind.
+    fn assert_work_counts(
+        program: &DlirProgram,
+        db: &Database,
+        sizes: &[(&str, usize)],
+        cases: [(EvalStats, &[(&str, u64)]); 2],
+    ) {
+        let engines = [
+            DatalogEngine::with_threads(1),
+            DatalogEngine::with_config(
+                DatalogConfig::default().with_threads(4).with_parallel_threshold(1),
+            ),
+        ];
+        for (engine, (stats, kinds)) in engines.iter().zip(cases) {
+            let threads = engine.config.threads;
+            let result = engine.evaluate(program, db).unwrap();
+            for &(name, len) in sizes {
+                assert_eq!(result.relation(name).len(), len, "{name}, threads {threads}");
+            }
+            assert_eq!(result.stats, stats, "threads {threads}");
+            let kinds: Vec<(String, u64)> = kinds.iter().map(|&(k, n)| (k.into(), n)).collect();
+            assert_eq!(checkpoints_by_kind(engine, program, db), kinds, "threads {threads}");
+        }
+    }
+
+    /// A field-sensitive Andersen points-to analysis: `pt` and `hpt` are
+    /// mutually recursive and the last two rules are non-linear 3-way joins.
+    fn points_to_program() -> DlirProgram {
+        let mut p = DlirProgram::default();
+        let pt = || Atom::with_vars("pt", &["v", "h"]);
+        p.add_rule(Rule::new(pt(), vec![atom("new", &["v", "h"])]));
+        p.add_rule(Rule::new(pt(), vec![atom("assign", &["v", "w"]), atom("pt", &["w", "h"])]));
+        p.add_rule(Rule::new(
+            pt(),
+            vec![
+                atom("load", &["v", "b", "f"]),
+                atom("pt", &["b", "g"]),
+                atom("hpt", &["g", "f", "h"]),
+            ],
+        ));
+        p.add_rule(Rule::new(
+            Atom::with_vars("hpt", &["g", "f", "h"]),
+            vec![atom("store", &["b", "f", "w"]), atom("pt", &["b", "g"]), atom("pt", &["w", "h"])],
+        ));
+        p.add_output("pt");
+        p.add_output("hpt");
+        p
+    }
+
+    /// Facts for [`points_to_program`]: a copy chain of `n` variables with
+    /// merges, loops and a field written and read back every sixth variable.
+    fn points_to_facts(n: i64) -> Database {
+        let mut db = Database::new();
+        let mut fact = |rel: &str, vals: &[i64]| {
+            db.insert_fact(rel, vals.iter().map(|&v| Value::Int(v)).collect()).unwrap();
+        };
+        for v in 0..n {
+            if v % 4 == 0 {
+                fact("new", &[v, 1000 + v]);
+            }
+            if v > 0 {
+                fact("assign", &[v, v - 1]);
+            }
+            if v % 3 == 0 && v >= 3 {
+                fact("assign", &[v, v - 3]);
+            }
+            if v % 8 == 7 {
+                fact("assign", &[v - 5, v]);
+            }
+            if v % 6 == 2 {
+                let (value, read, field) = (100 + v, 200 + v, v % 3);
+                fact("new", &[value, 2000 + v]);
+                fact("store", &[v, field, value]);
+                fact("load", &[read, v, field]);
+                fact("assign", &[(v + 3).min(n - 1), read]);
+            }
+        }
+        db
+    }
+
+    #[test]
+    fn points_to_work_counts_are_pinned() {
+        // Exact work of a non-linear, mutually recursive program: a change
+        // to the join or derive path must leave every counter in place.
+        let stats = |parallel_tasks| EvalStats {
+            strata: 1,
+            sccs: 1,
+            looping_sccs: 1,
+            iterations: 23,
+            rule_applications: 108,
+            tuples_derived: 2012,
+            parallel_tasks,
+        };
+        assert_work_counts(
+            &points_to_program(),
+            &points_to_facts(48),
+            &[("pt", 764), ("hpt", 118)],
+            [
+                (stats(0), &[("FixpointRound", 22), ("Scc", 1)]),
+                (stats(406), &[("FixpointRound", 22), ("ParallelChunk", 406), ("Scc", 1)]),
+            ],
+        );
+    }
+
+    /// `edge` over `layers` layers of `width` nodes, every node linked to
+    /// every node of the next layer.
+    fn layered_edges(layers: i64, width: i64) -> Database {
+        let mut db = Database::new();
+        for l in 0..layers - 1 {
+            for a in 0..width {
+                for b in 0..width {
+                    let edge = vec![Value::Int(l * width + a), Value::Int((l + 1) * width + b)];
+                    db.insert_fact("edge", edge).unwrap();
+                }
+            }
+        }
+        db
+    }
+
+    #[test]
+    fn large_closure_work_counts_are_pinned() {
+        // Over 7 layers of 24 the first delta round joins 24^3 * 5 = 69 120
+        // candidates in one application, more than `JOIN_SCAN_PERIOD`, so the
+        // sequential run pins the join's `JoinScan` ticks too.
+        let stats = |parallel_tasks| EvalStats {
+            strata: 1,
+            sccs: 1,
+            looping_sccs: 1,
+            iterations: 7,
+            rule_applications: 8,
+            tuples_derived: 210_816,
+            parallel_tasks,
+        };
+        assert_work_counts(
+            &tc_program(),
+            &layered_edges(7, 24),
+            &[("tc", 576 * 21)],
+            [
+                (stats(0), &[("FixpointRound", 6), ("JoinScan", 1), ("Scc", 1)]),
+                (stats(28), &[("FixpointRound", 6), ("ParallelChunk", 28), ("Scc", 1)]),
+            ],
+        );
+    }
+
     #[test]
     fn non_looping_sccs_evaluate_in_exactly_one_round() {
         // hop2 and hop4 are non-recursive but hop4 reads hop2, so both land
