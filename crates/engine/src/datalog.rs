@@ -653,11 +653,11 @@ impl Derived {
 }
 
 /// Derive head rows on the current thread: [`join`] the body through
-/// `schedule` with the given pins, then instantiate the head once per
-/// binding, or aggregate the bindings when the rule aggregates. Every rule
-/// application — evaluation's sequential path, each parallel chunk, and
-/// every incremental-maintenance join that produces rows — goes through
-/// here. Requires every index the schedule probes to exist already (see
+/// `schedule` with the given pins into one packed [`Envs`] buffer, then
+/// instantiate the head once per environment row, or aggregate the rows
+/// when the rule aggregates. Every rule application — evaluation's
+/// sequential path, each parallel chunk, and every incremental-maintenance
+/// join that produces rows — goes through here. Requires every index the schedule probes to exist already (see
 /// [`DatalogEngine::evaluate_plan`]).
 pub(crate) fn derive(
     plan: &RulePlan,
@@ -672,7 +672,7 @@ pub(crate) fn derive(
         None => {
             let mut out = Derived::new(plan.head_stride());
             out.cells.reserve(bindings.len() * out.stride);
-            for env in &bindings {
+            for env in bindings.rows() {
                 instantiate_head(plan, env, &mut out)?;
             }
             Ok(out)
@@ -698,10 +698,11 @@ pub(crate) struct Pin<'a> {
 
 /// The one join of the Datalog engine: join a rule body through a compiled
 /// `schedule`, apply its constraints and negations, and return the slot
-/// environments satisfying it. Read-only over the database — every index
-/// the schedule probes was materialized by [`DatalogEngine::evaluate_plan`]
-/// (or [`crate::PreparedDatabase::install_view`] for the maintenance
-/// schedules) — so it is safe to run concurrently over disjoint pin chunks.
+/// environments satisfying it, packed back to back in one [`Envs`] buffer.
+/// Read-only over the database — every index the schedule probes was
+/// materialized by [`DatalogEngine::evaluate_plan`] (or
+/// [`crate::PreparedDatabase::install_view`] for the maintenance schedules)
+/// — so it is safe to run concurrently over disjoint pin chunks.
 ///
 /// Pinned atoms bind first, in pin order (cross product across pins); every
 /// other positive atom then probes the database's current state in the
@@ -719,21 +720,24 @@ pub(crate) struct Pin<'a> {
 /// freshly inserted negated row skips its own position (the check would
 /// veto every binding it produced). `init` replaces the initial unbound
 /// environment (DRed's backward re-derivation check seeds it from a
-/// candidate head row); all initial environments must bind the same slots.
+/// candidate head row, `nvars` cells).
 ///
-/// Environments are returned with multiplicity (one per derivation path),
-/// which is exactly what derivation counting needs; set-semantics callers
-/// deduplicate at staging time.
+/// The buffer holds one row per derivation path, in the order a nested-loop
+/// scan of the schedule meets them — exactly what derivation counting
+/// needs; set-semantics callers deduplicate at staging time.
 pub(crate) fn join(
     plan: &RulePlan,
     db: &Database,
     schedule: &JoinSchedule,
     pins: &[Pin],
-    init: Option<Vec<Env>>,
+    init: Option<Vec<Cell>>,
     skip_negations: &[usize],
     guard: &QueryGuard,
-) -> Result<Vec<Env>> {
-    let mut envs: Vec<Env> = init.unwrap_or_else(|| vec![vec![UNBOUND_CELL; plan.nvars]]);
+) -> Result<Envs> {
+    let stride = plan.nvars.max(1);
+    let mut cells = init.unwrap_or_else(|| vec![UNBOUND_CELL; plan.nvars]);
+    cells.resize(stride, UNBOUND_CELL);
+    let mut envs = Envs { stride, cells };
     let mut pending_constraints: Vec<usize> = plan
         .body
         .iter()
@@ -756,13 +760,13 @@ pub(crate) fn join(
         let (PlanElem::Atom(atom) | PlanElem::Negated(atom)) = &plan.body[idx] else {
             return Err(RaqletError::execution("pinned position must name an atom"));
         };
-        envs = extend_with_atom(envs, atom, db, pin, &schedule.prep.atom_columns[idx], guard)?;
+        envs = extend_with_atom(&envs, atom, db, pin, &schedule.prep.atom_columns[idx], guard)?;
         if envs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(envs);
         }
         apply_ready_constraints(&mut envs, plan, &mut pending_constraints);
         if envs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(envs);
         }
     }
 
@@ -787,7 +791,7 @@ pub(crate) fn join(
         }
         apply_negation(&mut envs, atom, db, schedule.prep.negation_columns[idx].as_deref());
         if envs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(envs);
         }
     }
     Ok(envs)
@@ -977,7 +981,7 @@ fn expr_slots_bound(expr: &PlanExpr, bound: &[bool]) -> bool {
 /// Repeats until no constraint fires (an assignment can ready another
 /// constraint). All environments bind the same slot set by construction, so
 /// readiness is checked once on the first.
-fn apply_ready_constraints(envs: &mut Vec<Env>, plan: &RulePlan, pending: &mut Vec<usize>) {
+fn apply_ready_constraints(envs: &mut Envs, plan: &RulePlan, pending: &mut Vec<usize>) {
     loop {
         let mut fired = false;
         pending.retain(|&idx| {
@@ -1004,7 +1008,7 @@ fn apply_ready_constraints(envs: &mut Vec<Env>, plan: &RulePlan, pending: &mut V
                     // every surviving environment binds the slot and the
                     // all-envs-bind-the-same-slots invariant holds.
                     let dict = &plan.dict;
-                    envs.retain_mut(|env| match eval_expr_cell(env, expr, dict) {
+                    envs.retain(|env| match eval_expr_cell(env, expr, dict) {
                         Some(cell) => {
                             env[slot] = cell;
                             true
@@ -1023,9 +1027,46 @@ fn apply_ready_constraints(envs: &mut Vec<Env>, plan: &RulePlan, pending: &mut V
     }
 }
 
-/// A slot environment: one packed cell per rule variable, [`UNBOUND_CELL`]
-/// while unbound.
-pub(crate) type Env = Vec<Cell>;
+/// The slot environments of a join, packed back to back: row `r` is
+/// `cells[r * stride..][..stride]`, one cell per rule variable
+/// ([`UNBOUND_CELL`] while unbound). `stride = max(nvars, 1)`, so a
+/// variable-free rule still gets one row per binding.
+pub(crate) struct Envs {
+    stride: usize,
+    cells: Vec<Cell>,
+}
+
+impl Envs {
+    fn len(&self) -> usize {
+        self.cells.len() / self.stride
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    fn first(&self) -> Option<&[Cell]> {
+        self.cells.get(..self.stride)
+    }
+
+    fn rows(&self) -> std::slice::ChunksExact<'_, Cell> {
+        self.cells.chunks_exact(self.stride)
+    }
+
+    /// Keep the rows `keep` accepts, in order, compacting in place; `keep`
+    /// may rewrite the row it is shown.
+    fn retain(&mut self, mut keep: impl FnMut(&mut [Cell]) -> bool) {
+        let stride = self.stride;
+        let mut kept = 0;
+        for r in 0..self.len() {
+            if keep(&mut self.cells[r * stride..][..stride]) {
+                self.cells.copy_within(r * stride..(r + 1) * stride, kept * stride);
+                kept += 1;
+            }
+        }
+        self.cells.truncate(kept * stride);
+    }
+}
 
 /// A body/head term resolved against the rule's variable slot table, with
 /// constants pre-encoded to packed cells.
@@ -1475,7 +1516,8 @@ impl ProgramPlan {
 }
 
 /// Extend each environment with every tuple of the atom's relation that
-/// matches `atom` under the environment. With a pin (`scan`), the candidate
+/// matches `atom` under the environment, writing the extensions straight
+/// into a new packed buffer in (environment, candidate) order. With a pin (`scan`), the candidate
 /// rows come from the pin's packed slice (a delta, an arena chunk in
 /// parallel round zero — tombstoned rows are skipped — or a maintenance
 /// change set); otherwise `bound_columns` (the probe columns
@@ -1484,13 +1526,13 @@ impl ProgramPlan {
 /// [`DatalogEngine::evaluate_plan`] materialized, falling back to a scan if
 /// absent. Read-only, so worker threads can share the database.
 fn extend_with_atom(
-    envs: Vec<Env>,
+    envs: &Envs,
     atom: &PlanAtom,
     db: &Database,
     scan: Option<Pin>,
     bound_columns: &[usize],
     guard: &QueryGuard,
-) -> Result<Vec<Env>> {
+) -> Result<Envs> {
     {
         let arity = db.get(&atom.relation).map(|r| r.arity()).unwrap_or(atom.arity());
         let empty = db.get(&atom.relation).is_none_or(|r| r.is_empty());
@@ -1504,7 +1546,8 @@ fn extend_with_atom(
         }
     }
 
-    let Some(relation) = db.get(&atom.relation) else { return Ok(Vec::new()) };
+    let mut out = Envs { stride: envs.stride, cells: Vec::new() };
+    let Some(relation) = db.get(&atom.relation) else { return Ok(out) };
 
     // Deadline/cancellation latency must be bounded even when one rule
     // application joins millions of candidate rows in a single round: tick
@@ -1520,23 +1563,45 @@ fn extend_with_atom(
         Ok(())
     };
 
-    let mut out = Vec::new();
+    // Check a candidate before copying its environment into `out`; bind
+    // after, and truncate the copy back off if a variable repeated inside
+    // the atom meets two different values.
+    let mut push = |env: &[Cell], row: &[Cell]| {
+        let fits = atom.terms.iter().zip(row).all(|(term, &cell)| match *term {
+            PlanTerm::Wildcard => true,
+            PlanTerm::Const(c) => cell == c,
+            PlanTerm::Slot(s) => env[s] == UNBOUND_CELL || env[s] == cell,
+        });
+        if !fits {
+            return;
+        }
+        let start = out.cells.len();
+        out.cells.extend_from_slice(env);
+        let new_env = &mut out.cells[start..];
+        for (term, &cell) in atom.terms.iter().zip(row) {
+            if let PlanTerm::Slot(s) = *term {
+                if new_env[s] == UNBOUND_CELL {
+                    new_env[s] = cell;
+                } else if new_env[s] != cell {
+                    out.cells.truncate(start);
+                    return;
+                }
+            }
+        }
+    };
     if let Some(scan) = scan {
         let arity = atom.arity().min(scan.stride);
-        for env in envs {
+        for env in envs.rows() {
             for row in scan.rows.chunks_exact(scan.stride) {
                 tick()?;
-                if is_tombstone(row[0]) {
-                    continue;
-                }
-                if let Some(new_env) = match_row(&env, atom, &row[..arity]) {
-                    out.push(new_env);
+                if !is_tombstone(row[0]) {
+                    push(env, &row[..arity]);
                 }
             }
         }
     } else if !bound_columns.is_empty() && relation.has_index(bound_columns) {
         let mut key: Vec<Cell> = Vec::with_capacity(bound_columns.len());
-        for env in envs {
+        for env in envs.rows() {
             key.clear();
             key.extend(bound_columns.iter().map(|&i| match &atom.terms[i] {
                 PlanTerm::Slot(s) => env[*s],
@@ -1546,61 +1611,21 @@ fn extend_with_atom(
             if let Some(candidates) = relation.probe_index_cells(bound_columns, &key) {
                 for row in candidates {
                     tick()?;
-                    if let Some(new_env) = match_row(&env, atom, row) {
-                        out.push(new_env);
-                    }
+                    push(env, row);
                 }
             }
         }
     } else {
         // No bound columns (or no index): every environment scans every
-        // row; `match_row` filters.
-        for env in envs {
+        // row; `push` filters.
+        for env in envs.rows() {
             for row in relation.iter_rows() {
                 tick()?;
-                if let Some(new_env) = match_row(&env, atom, row) {
-                    out.push(new_env);
-                }
+                push(env, row);
             }
         }
     }
     Ok(out)
-}
-
-/// Match one candidate packed row against an atom under an environment,
-/// returning the extended environment on success. Pure cell compares.
-#[inline]
-fn match_row(env: &Env, atom: &PlanAtom, row: &[Cell]) -> Option<Env> {
-    // Verify before cloning: rejected candidates must not pay for an
-    // environment copy.
-    for (i, term) in atom.terms.iter().enumerate() {
-        match term {
-            PlanTerm::Wildcard => {}
-            PlanTerm::Const(c) => {
-                if row[i] != *c {
-                    return None;
-                }
-            }
-            PlanTerm::Slot(s) => {
-                let bound = env[*s];
-                if bound != UNBOUND_CELL && bound != row[i] {
-                    return None;
-                }
-            }
-        }
-    }
-    let mut new_env = env.clone();
-    for (i, term) in atom.terms.iter().enumerate() {
-        if let PlanTerm::Slot(s) = term {
-            if new_env[*s] == UNBOUND_CELL {
-                new_env[*s] = row[i];
-            } else if new_env[*s] != row[i] {
-                // A repeated variable bound earlier in this same atom.
-                return None;
-            }
-        }
-    }
-    Some(new_env)
 }
 
 /// Filter out environments for which the negated atom matches. When every
@@ -1610,7 +1635,7 @@ fn match_row(env: &Env, atom: &PlanAtom, row: &[Cell]) -> Option<Env> {
 /// probe; otherwise it falls back to a scan with the original
 /// unbound-variable semantics (an unbound variable never matches).
 /// Read-only, so worker threads can share the database.
-fn apply_negation(envs: &mut Vec<Env>, atom: &PlanAtom, db: &Database, probe: Option<&[usize]>) {
+fn apply_negation(envs: &mut Envs, atom: &PlanAtom, db: &Database, probe: Option<&[usize]>) {
     if envs.is_empty() {
         return;
     }
@@ -1637,7 +1662,7 @@ fn apply_negation(envs: &mut Vec<Env>, atom: &PlanAtom, db: &Database, probe: Op
 
 /// True if the expression can be evaluated under the environment (all its
 /// slots are bound).
-fn expr_ready(env: &Env, expr: &PlanExpr) -> bool {
+fn expr_ready(env: &[Cell], expr: &PlanExpr) -> bool {
     match expr {
         PlanExpr::Slot(s) => env[*s] != UNBOUND_CELL,
         PlanExpr::Const(..) => true,
@@ -1646,7 +1671,7 @@ fn expr_ready(env: &Env, expr: &PlanExpr) -> bool {
 }
 
 fn eval_constraint(
-    env: &Env,
+    env: &[Cell],
     op: raqlet_dlir::CmpOp,
     lhs: &PlanExpr,
     rhs: &PlanExpr,
@@ -1667,7 +1692,7 @@ fn eval_constraint(
 /// The packed cell of a slot/const expression (None for arithmetic, which
 /// must be evaluated at the value level).
 #[inline]
-fn simple_cell(env: &Env, expr: &PlanExpr) -> Option<Cell> {
+fn simple_cell(env: &[Cell], expr: &PlanExpr) -> Option<Cell> {
     match expr {
         PlanExpr::Slot(s) => Some(env[*s]),
         PlanExpr::Const(_, c) => Some(*c),
@@ -1676,7 +1701,7 @@ fn simple_cell(env: &Env, expr: &PlanExpr) -> Option<Cell> {
 }
 
 /// Evaluate an expression to a `Value`, decoding slot cells on demand.
-fn eval_expr(env: &Env, expr: &PlanExpr, dict: &ValueDict) -> Option<Value> {
+fn eval_expr(env: &[Cell], expr: &PlanExpr, dict: &ValueDict) -> Option<Value> {
     match expr {
         PlanExpr::Slot(s) => {
             let cell = env[*s];
@@ -1695,7 +1720,7 @@ fn eval_expr(env: &Env, expr: &PlanExpr, dict: &ValueDict) -> Option<Value> {
 
 /// Evaluate an expression straight to a packed cell (slot/const expressions
 /// skip the decode/encode round trip; arithmetic encodes its result).
-fn eval_expr_cell(env: &Env, expr: &PlanExpr, dict: &ValueDict) -> Option<Cell> {
+fn eval_expr_cell(env: &[Cell], expr: &PlanExpr, dict: &ValueDict) -> Option<Cell> {
     match expr {
         PlanExpr::Slot(s) => {
             let cell = env[*s];
@@ -1713,7 +1738,7 @@ fn eval_expr_cell(env: &Env, expr: &PlanExpr, dict: &ValueDict) -> Option<Cell> 
     }
 }
 
-fn matches_negated(env: &Env, atom: &PlanAtom, relation: &Relation) -> bool {
+fn matches_negated(env: &[Cell], atom: &PlanAtom, relation: &Relation) -> bool {
     relation.iter_rows().any(|row| {
         atom.terms.iter().enumerate().all(|(i, term)| match term {
             PlanTerm::Wildcard => true,
@@ -1725,7 +1750,7 @@ fn matches_negated(env: &Env, atom: &PlanAtom, relation: &Relation) -> bool {
 
 /// Instantiate the head for one environment, appending the packed row (plus
 /// the nullary pad, if any) to `out`.
-fn instantiate_head(plan: &RulePlan, env: &Env, out: &mut Derived) -> Result<()> {
+fn instantiate_head(plan: &RulePlan, env: &[Cell], out: &mut Derived) -> Result<()> {
     for t in &plan.head {
         match t {
             PlanTerm::Slot(s) => {
@@ -1752,12 +1777,7 @@ fn instantiate_head(plan: &RulePlan, env: &Env, out: &mut Derived) -> Result<()>
 }
 
 /// Evaluate a rule-level aggregation over the body bindings.
-fn aggregate(
-    plan: &RulePlan,
-    agg: &PlanAgg,
-    bindings: &[Env],
-    dict: &ValueDict,
-) -> Result<Derived> {
+fn aggregate(plan: &RulePlan, agg: &PlanAgg, bindings: &Envs, dict: &ValueDict) -> Result<Derived> {
     // Deduplicate the (group key, input value) projection at the cell level:
     // Datalog set semantics, matching the SQL backend's `AGG(DISTINCT
     // input)` encoding. Groups are ordered by decoded value for
@@ -1766,7 +1786,7 @@ fn aggregate(
     let mut groups: BTreeMap<Vec<Value>, (Vec<Cell>, Vec<Value>)> = BTreeMap::new();
     let mut seen: raqlet_common::hash::FxHashSet<(Vec<Cell>, Cell)> =
         raqlet_common::hash::FxHashSet::default();
-    for env in bindings {
+    for env in bindings.rows() {
         let key_cells: Vec<Cell> = agg
             .group_by
             .iter()
@@ -1814,7 +1834,7 @@ fn aggregate(
         };
         // Build the head row: group-by slots in head order plus the
         // aggregate output.
-        let mut env: Env = vec![UNBOUND_CELL; plan.nvars];
+        let mut env = vec![UNBOUND_CELL; plan.nvars];
         for (&s, &cell) in agg.group_by.iter().zip(key_cells.iter()) {
             env[s] = cell;
         }
@@ -2005,6 +2025,115 @@ mod tests {
             let result = DatalogEngine::new().evaluate(&program(), &db).unwrap();
             assert_eq!(result.relation("h").sorted(), vec![vec![Value::Int(2)]], "{facts:?}");
         }
+    }
+
+    /// Evaluate `p` semi-naively, check the naive reference agrees, and
+    /// return the sorted rows of `output` with the semi-naive stats.
+    fn eval_against_naive(
+        p: &DlirProgram,
+        db: &Database,
+        output: &str,
+    ) -> (Vec<Vec<Value>>, EvalStats) {
+        let result = DatalogEngine::new().evaluate(p, db).unwrap();
+        let naive = DatalogEngine::naive().evaluate(p, db).unwrap();
+        let rows = result.relation(output).sorted();
+        assert_eq!(rows, naive.relation(output).sorted(), "{output}");
+        (rows, result.stats)
+    }
+
+    fn edges(pairs: &[(i64, i64)]) -> Database {
+        let mut db = Database::new();
+        for &(a, b) in pairs {
+            db.insert_fact("edge", vec![Value::Int(a), Value::Int(b)]).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn variable_free_rules_get_one_environment_per_binding() {
+        // flag() :- edge(1, 2).   some() :- edge(_, _).   none() :- edge(2, 1).
+        // No rule has a variable, so every environment is one pad cell.
+        let ground = |name: &str, terms: Vec<Term>| {
+            let mut p = DlirProgram::default();
+            p.add_rule(Rule::new(
+                Atom::new(name, vec![]),
+                vec![BodyElem::Atom(Atom::new("edge", terms))],
+            ));
+            p.add_output(name);
+            p
+        };
+        let db = chain_edges(3);
+        let (flag, stats) =
+            eval_against_naive(&ground("flag", vec![Term::int(1), Term::int(2)]), &db, "flag");
+        assert_eq!(flag, vec![Vec::<Value>::new()]);
+        assert_eq!(stats.tuples_derived, 1);
+        // One derivation per matching edge, deduplicated at staging.
+        let (some, stats) =
+            eval_against_naive(&ground("some", vec![Term::Wildcard, Term::Wildcard]), &db, "some");
+        assert_eq!(some, vec![Vec::<Value>::new()]);
+        assert_eq!(stats.tuples_derived, 3);
+        let (none, _) =
+            eval_against_naive(&ground("none", vec![Term::int(2), Term::int(1)]), &db, "none");
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn repeated_variables_inside_one_atom_drop_conflicting_rows() {
+        // self(x) :- edge(x, x).   next(x, y) :- edge(x, x), edge(x, y).
+        // Conflicting rows pass the pre-copy check (x is unbound) and must be
+        // truncated back off without disturbing the rows after them.
+        let mut p = DlirProgram::default();
+        p.add_rule(Rule::new(Atom::with_vars("self", &["x"]), vec![atom("edge", &["x", "x"])]));
+        p.add_rule(Rule::new(
+            Atom::with_vars("next", &["x", "y"]),
+            vec![atom("edge", &["x", "x"]), atom("edge", &["x", "y"])],
+        ));
+        p.add_output("self");
+        p.add_output("next");
+        let db = edges(&[(1, 2), (2, 2), (3, 4), (1, 1), (2, 3), (4, 5)]);
+        let (own, stats) = eval_against_naive(&p, &db, "self");
+        assert_eq!(own, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+        // Two `self` derivations plus four `next` ones: no conflict leaks.
+        assert_eq!(stats.tuples_derived, 6);
+        let (next, _) = eval_against_naive(&p, &db, "next");
+        let pairs = [(1, 1), (1, 2), (2, 2), (2, 3)];
+        assert_eq!(next, pairs.map(|(a, b)| vec![Value::Int(a), Value::Int(b)]).to_vec());
+    }
+
+    #[test]
+    fn assignments_rewrite_slots_in_place_before_filters_compact() {
+        // q(x, w) :- r(x, y), z = 10 / y, z > 2, s(z, w).
+        // The assignment drops (1, 0), the filter drops (2, 5) and (5, 4),
+        // and the rewritten `z` then probes `s`.
+        let mut p = DlirProgram::default();
+        p.add_rule(Rule::new(
+            Atom::with_vars("q", &["x", "w"]),
+            vec![
+                atom("r", &["x", "y"]),
+                BodyElem::eq(
+                    DlExpr::var("z"),
+                    DlExpr::Arith {
+                        op: raqlet_dlir::ArithOp::Div,
+                        lhs: Box::new(DlExpr::int(10)),
+                        rhs: Box::new(DlExpr::var("y")),
+                    },
+                ),
+                BodyElem::Constraint { op: CmpOp::Gt, lhs: DlExpr::var("z"), rhs: DlExpr::int(2) },
+                atom("s", &["z", "w"]),
+            ],
+        ));
+        p.add_output("q");
+        let mut db = Database::new();
+        for (x, y) in [(1, 0), (2, 5), (3, 2), (5, 4), (4, 1)] {
+            db.insert_fact("r", vec![Value::Int(x), Value::Int(y)]).unwrap();
+        }
+        for (z, w) in [(2, 20), (5, 50), (10, 100)] {
+            db.insert_fact("s", vec![Value::Int(z), Value::Int(w)]).unwrap();
+        }
+        let (q, stats) = eval_against_naive(&p, &db, "q");
+        let expected = [(3, 50), (4, 100)];
+        assert_eq!(q, expected.map(|(a, b)| vec![Value::Int(a), Value::Int(b)]).to_vec());
+        assert_eq!(stats.tuples_derived, 2);
     }
 
     #[test]

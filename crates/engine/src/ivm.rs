@@ -52,7 +52,7 @@ use raqlet_common::{Database, RaqletError, Result, SupportChange, SupportCounts,
 use raqlet_dlir::LatticeMerge;
 
 use crate::datalog::{
-    derive, join, store_derived, DatalogEngine, Derived, Env, EvalStats, Pin, PlanElem, PlanTerm,
+    derive, join, store_derived, DatalogEngine, Derived, EvalStats, Pin, PlanElem, PlanTerm,
     ProgramPlan, RulePlan, SccPlan, StratumPlan,
 };
 
@@ -763,7 +763,7 @@ fn lattice_monotone_scc(
 /// environment of DRed's backward re-derivation check. `None` when the row
 /// cannot match the head (constant mismatch, or conflicting repeated
 /// variables).
-fn env_from_head(plan: &RulePlan, row: &[Cell]) -> Option<Env> {
+fn env_from_head(plan: &RulePlan, row: &[Cell]) -> Option<Vec<Cell>> {
     let mut env = vec![UNBOUND_CELL; plan.nvars];
     for (i, term) in plan.head.iter().enumerate() {
         match term {
@@ -960,8 +960,7 @@ fn dred_scc(
             for rule in scc.rules.iter().filter(|p| p.head_relation == *name) {
                 let Some(env0) = env_from_head(rule, row) else { continue };
                 stats.rule_applications += 1;
-                let envs =
-                    join(rule, db, rule.schedule_for(None), &[], Some(vec![env0]), &[], guard)?;
+                let envs = join(rule, db, rule.schedule_for(None), &[], Some(env0), &[], guard)?;
                 if !envs.is_empty() {
                     // Component relations live in the warm database for the
                     // whole pass, and `refront` is seeded with all of them.
