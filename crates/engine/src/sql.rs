@@ -1089,6 +1089,169 @@ mod tests {
         assert!(err.to_string().contains("mystery"));
     }
 
+    /// Run a hand-built SQIR query over `edge(src, dst)` on one profile.
+    fn run_sqir(query: &SqirQuery, db: &Database, profile: SqlProfile) -> Result<SqlResult> {
+        let catalog = TableCatalog::from_schema(&edge_program().schema);
+        SqlEngine { profile }.execute(query, db, &catalog)
+    }
+
+    fn select(items: &[(SqlExpr, &str)], from: &[(&str, &str)], conds: Vec<SqlExpr>) -> SelectStmt {
+        SelectStmt {
+            distinct: true,
+            items: items.iter().map(|(e, a)| raqlet_sqir::SelectItem::new(e.clone(), *a)).collect(),
+            from: from.iter().map(|(t, a)| FromItem::new(*t, *a)).collect(),
+            where_conjuncts: conds,
+            group_by: Vec::new(),
+        }
+    }
+
+    fn col(table: &str, column: &str) -> SqlExpr {
+        SqlExpr::col(table, column)
+    }
+
+    #[test]
+    fn a_join_through_a_null_key_returns_no_row_on_either_profile() {
+        // q(x, z) :- edge(x, y), edge(y, z) over edge(1, NULL), edge(NULL, 2):
+        // the packed NULL cells are equal, but SQL's `NULL = NULL` is not true.
+        let mut p = edge_program();
+        p.add_rule(Rule::new(
+            Atom::with_vars("q", &["x", "z"]),
+            vec![atom("edge", &["x", "y"]), atom("edge", &["y", "z"])],
+        ));
+        p.add_output("q");
+        let mut db = Database::new();
+        db.insert_fact("edge", vec![Value::Int(1), Value::Null]).unwrap();
+        db.insert_fact("edge", vec![Value::Null, Value::Int(2)]).unwrap();
+        for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
+            assert!(run(&p, "q", &db, profile).is_empty(), "{profile:?}");
+        }
+        // The Datalog engine unifies the two NULLs: that is Datalog, not SQL.
+        let dl_rows = crate::datalog::DatalogEngine::new().run_output(&p, &db, "q").unwrap();
+        assert_eq!(dl_rows.sorted(), vec![vec![Value::Int(1), Value::Int(2)]]);
+    }
+
+    #[test]
+    fn a_union_branch_narrower_than_its_cte_is_an_error() {
+        let pair = [(col("e", "src"), "x"), (col("e", "dst"), "y")];
+        let narrow = select(&[(col("e", "src"), "x")], &[("edge", "e")], Vec::new());
+        let plain = Cte {
+            name: "w".into(),
+            columns: vec!["x".into(), "y".into()],
+            recursive: false,
+            branches: vec![select(&pair, &[("edge", "e")], Vec::new()), narrow],
+        };
+        let step = select(
+            &[(col("e", "dst"), "x")],
+            &[("w", "R"), ("edge", "e")],
+            vec![SqlExpr::eq(col("R", "y"), col("e", "src"))],
+        );
+        let recursive = Cte {
+            name: "w".into(),
+            columns: vec!["x".into(), "y".into()],
+            recursive: true,
+            branches: vec![select(&pair, &[("edge", "e")], Vec::new()), step],
+        };
+        let db = chain_db(4);
+        for cte in [plain, recursive] {
+            let query = SqirQuery {
+                final_select: select(&[(col("w", "x"), "x")], &[("w", "w")], Vec::new()),
+                needs_recursive: cte.recursive,
+                ctes: vec![cte],
+            };
+            for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
+                assert!(run_sqir(&query, &db, profile).is_err(), "{profile:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_predicate_on_the_working_table_filters_every_round() {
+        // walk(n, len): from node 0 along `edge`, while (R.len + 1) <= 3 —
+        // CQ13's depth bound, a conjunct that reads only the working table.
+        let plus_one = SqlExpr::Arith {
+            op: SqlArithOp::Add,
+            lhs: Box::new(col("R", "len")),
+            rhs: Box::new(SqlExpr::int(1)),
+        };
+        let walk = Cte {
+            name: "walk".into(),
+            columns: vec!["n".into(), "len".into()],
+            recursive: true,
+            branches: vec![
+                select(
+                    &[(col("e", "src"), "n"), (SqlExpr::int(0), "len")],
+                    &[("edge", "e")],
+                    vec![SqlExpr::eq(col("e", "src"), SqlExpr::int(0))],
+                ),
+                select(
+                    &[(col("e", "dst"), "n"), (plus_one.clone(), "len")],
+                    &[("walk", "R"), ("edge", "e")],
+                    vec![
+                        SqlExpr::eq(col("R", "n"), col("e", "src")),
+                        SqlExpr::Cmp {
+                            op: SqlCmpOp::Le,
+                            lhs: Box::new(plus_one),
+                            rhs: Box::new(SqlExpr::int(3)),
+                        },
+                    ],
+                ),
+            ],
+        };
+        let query = SqirQuery {
+            final_select: select(
+                &[(col("w", "n"), "n"), (col("w", "len"), "len")],
+                &[("walk", "w")],
+                Vec::new(),
+            ),
+            needs_recursive: true,
+            ctes: vec![walk],
+        };
+        let expected: Vec<Vec<Value>> =
+            (0..=3).map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+        for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
+            let result = run_sqir(&query, &chain_db(10), profile).unwrap();
+            assert_eq!(result.rows.sorted(), expected, "{profile:?}");
+            assert_eq!(result.stats.recursive_iterations, 4, "{profile:?}");
+        }
+    }
+
+    #[test]
+    fn zero_column_ctes_hold_one_row_or_none() {
+        // flag() :- edge(1, _).  reached() :- edge(0, _).
+        // reached() :- reached(), edge(_, 9).  q(x) :- edge(x, _), flag(), reached().
+        let mut p = edge_program();
+        let edge_from = |n: i64| {
+            BodyElem::Atom(Atom::new(
+                "edge",
+                vec![raqlet_dlir::Term::int(n), raqlet_dlir::Term::Wildcard],
+            ))
+        };
+        p.add_rule(Rule::new(Atom::with_vars("flag", &[]), vec![edge_from(1)]));
+        p.add_rule(Rule::new(Atom::with_vars("reached", &[]), vec![edge_from(0)]));
+        p.add_rule(Rule::new(
+            Atom::with_vars("reached", &[]),
+            vec![
+                atom("reached", &[]),
+                BodyElem::Atom(Atom::new(
+                    "edge",
+                    vec![raqlet_dlir::Term::Wildcard, raqlet_dlir::Term::int(9)],
+                )),
+            ],
+        ));
+        p.add_rule(Rule::new(
+            Atom::with_vars("q", &["x"]),
+            vec![atom("edge", &["x", "y"]), atom("flag", &[]), atom("reached", &[])],
+        ));
+        p.add_output("q");
+        for (db, expected) in [(chain_db(3), 3), (chain_db(1), 0)] {
+            let dl_rows = crate::datalog::DatalogEngine::new().run_output(&p, &db, "q").unwrap();
+            assert_eq!(dl_rows.len(), expected);
+            for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
+                assert_eq!(run(&p, "q", &db, profile), dl_rows, "{profile:?}");
+            }
+        }
+    }
+
     #[test]
     fn stats_count_ctes_and_iterations() {
         let mut p = edge_program();
