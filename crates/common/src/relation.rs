@@ -24,9 +24,8 @@
 //! drive the packed fast path ([`insert_cells`], [`stage_cells`],
 //! [`probe_index_cells`], [`iter_rows`]). Cells are meaningful only relative
 //! to the dictionary that encoded them; relations created through a
-//! [`Database`] share that database's dictionary, and cross-relation packed
-//! operations ([`merge`], [`difference`]) take the fast path exactly when
-//! both sides share one dictionary.
+//! [`Database`] share that database's dictionary, and [`merge`] takes the
+//! packed fast path exactly when both sides share one dictionary.
 //!
 //! For semi-naive evaluation the visible state is split three ways:
 //!
@@ -48,7 +47,6 @@
 //! [`probe_index_cells`]: Relation::probe_index_cells
 //! [`iter_rows`]: Relation::iter_rows
 //! [`merge`]: Relation::merge
-//! [`difference`]: Relation::difference
 //! [`len`]: Relation::len
 //! [`iter`]: Relation::iter
 //! [`sorted`]: Relation::sorted
@@ -778,27 +776,6 @@ impl Relation {
         Ok(added)
     }
 
-    /// The tuples of `self` not present in `other` (the semi-naive "delta"
-    /// of the SQL working-table loop). The result shares `self`'s
-    /// dictionary.
-    pub fn difference(&self, other: &Relation) -> Relation {
-        let mut out = Relation::with_dict(self.arity, self.dict.clone());
-        if Arc::ptr_eq(&self.dict, &other.dict) {
-            for row in self.iter_rows() {
-                if !other.contains_cells(row) {
-                    out.insert_cells(row);
-                }
-            }
-        } else {
-            for t in self.iter() {
-                if !other.contains(&t) {
-                    out.insert_unchecked(t);
-                }
-            }
-        }
-        out
-    }
-
     /// Rebuild the arena without its tombstoned slots, renumbering row ids
     /// and rebuilding the dedup table and every persistent index **in
     /// place** (the same declared column sets; this is maintenance of
@@ -1293,14 +1270,6 @@ mod tests {
         assert!(a.merge(&empty).is_ok());
         let b = Relation::from_tuples(3, vec![t(&[1, 2, 3])]).unwrap();
         assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
-    fn difference_computes_semi_naive_delta() {
-        let new = Relation::from_tuples(1, vec![t(&[1]), t(&[2]), t(&[3])]).unwrap();
-        let old = Relation::from_tuples(1, vec![t(&[2])]).unwrap();
-        let delta = new.difference(&old);
-        assert_eq!(delta.sorted(), vec![t(&[1]), t(&[3])]);
     }
 
     #[test]

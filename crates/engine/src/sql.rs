@@ -4,29 +4,43 @@
 //! The engine evaluates a [`SqirQuery`] against a [`Database`]:
 //!
 //! * CTEs are evaluated in order and materialised;
+//! * every SELECT is planned once, before any row is read: each FROM item
+//!   is resolved to its source (with the WHERE conjuncts that read only its
+//!   alias pushed below the join), the items are put in greedy bound-first
+//!   order and laid out in one joined row, and each join step gets its
+//!   equi-join keys;
+//! * one join loop runs every plan, extending partial rows in one packed
+//!   buffer, and then re-checks every WHERE conjunct on the joined rows (so
+//!   SQL's `NULL = NULL` is never true, although two packed NULL keys
+//!   compare equal);
 //! * recursive CTEs follow the SQL standard's semantics: the base branches
-//!   seed a working table, the recursive branches see only the previous
-//!   iteration's new rows, and `UNION` (distinct) deduplication drives the
-//!   iteration to a fixpoint;
-//! * two *cost profiles* stand in for the two RDBMS of the paper's Table 1:
-//!   [`SqlProfile::Duck`] joins with hash tables on equi-join keys (a
-//!   vectorised, analytics-style executor), while [`SqlProfile::Hyper`]
-//!   uses tuple-at-a-time nested-loop joins (a compiled, pipeline-style
-//!   executor whose low constants win on tiny, selective queries but lose on
-//!   large joins). Both produce identical results.
+//!   seed the CTE's relation, and each recursive branch, planned once before
+//!   the first round, reads the working table (the rows the previous round
+//!   added) under the CTE's own name. A round stages what its branches
+//!   select into the CTE's relation, and the relation's `advance` publishes
+//!   the rows that are new as the next working table, until a round adds
+//!   none;
+//! * two *cost profiles* stand in for the two RDBMS of the paper's Table 1
+//!   and differ only in how a keyed join step finds its candidate rows:
+//!   [`SqlProfile::Duck`] probes a persistent hash index on the step's key
+//!   columns, built at plan time (a vectorised, analytics-style executor),
+//!   while [`SqlProfile::Hyper`] scans every row and compares cells (a
+//!   compiled, tuple-at-a-time executor whose low constants win on tiny,
+//!   selective queries but lose on large joins). Both produce identical
+//!   results and identical [`SqlStats`].
 //!
-//! Intermediate joined rows are flat vectors of packed [`Cell`]s taken
-//! straight from the relations' arenas: hash-join keys, group-by keys and
-//! working-table dedup are `u64` word compares against the shared
-//! per-database dictionary, and values are decoded only at expression
-//! boundaries (predicates, arithmetic, aggregation).
+//! Joined rows are packed [`Cell`]s copied straight from the relations'
+//! arenas: join keys, group-by keys and working-table dedup are `u64` word
+//! compares against the shared per-database dictionary, and values are
+//! decoded only at expression boundaries (predicates, arithmetic,
+//! aggregation).
 //!
 //! Column names are resolved through a [`TableCatalog`] (built from the
 //! DL-Schema for base tables; CTE columns come from their declarations).
 
 use std::collections::HashMap;
 
-use raqlet_common::cell::{Cell, ValueDict};
+use raqlet_common::cell::{is_tombstone, Cell, ValueDict, NULL_CELL};
 use raqlet_common::guard::{CheckPoint, QueryGuard};
 use raqlet_common::hash::FxHashMap;
 use raqlet_common::schema::DlSchema;
@@ -35,13 +49,14 @@ use raqlet_sqir::{
     Cte, FromItem, SelectStmt, SqirQuery, SqlAggFunc, SqlArithOp, SqlCmpOp, SqlExpr,
 };
 
-/// Execution profile: which join strategy the engine uses.
+/// Execution profile: how a keyed join step finds its candidate rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SqlProfile {
-    /// Hash joins on equi-join keys (DuckDB-style analytics executor).
+    /// Probe a hash index on the equi-join keys (DuckDB-style analytics
+    /// executor).
     #[default]
     Duck,
-    /// Nested-loop joins (HyPer-style tuple-at-a-time executor).
+    /// Scan and compare (HyPer-style tuple-at-a-time executor).
     Hyper,
 }
 
@@ -164,305 +179,341 @@ impl SqlEngine {
         for cte in &query.ctes {
             guard.checkpoint(CheckPoint::Scc)?;
             names.register(&cte.name, cte.columns.clone());
-            let relation = self.evaluate_cte(cte, &scope, &names, &mut stats, guard)?;
+            let relation = self.evaluate_cte(cte, &mut scope, &names, &mut stats, guard)?;
             stats.ctes_materialised += 1;
             scope.set(cte.name.clone(), relation);
         }
-        let rows = self.evaluate_select(&query.final_select, &scope, &names, None, &mut stats)?;
-        Ok(SqlResult { rows, columns: query.final_select.output_columns(), stats })
+        let stmt = &query.final_select;
+        let plan = SelectPlan::new(stmt, &mut scope, &names, None, self.profile)?;
+        let joined = plan.join(&scope, &names, None, &mut stats)?;
+        let mut rows = Relation::with_dict(stmt.items.len(), scope.dict().clone());
+        plan.project(&joined, &scope, &names, |tuple| {
+            rows.insert_cells(tuple);
+        })?;
+        Ok(SqlResult { rows, columns: stmt.output_columns(), stats })
     }
 
+    /// Materialise one CTE. A recursive CTE's base branches seed its
+    /// relation; each round then runs every recursive branch against the
+    /// working table (the relation's delta), stages what the branches
+    /// select, and [`Relation::advance`] publishes the rows that are new as
+    /// the next working table.
     fn evaluate_cte(
         &self,
         cte: &Cte,
-        scope: &Database,
+        scope: &mut Database,
         names: &TableCatalog,
         stats: &mut SqlStats,
         guard: &QueryGuard,
     ) -> Result<Relation> {
-        let arity = cte.columns.len();
+        let (base, recursive) = if cte.recursive {
+            (cte.base_branches(), cte.recursive_branches())
+        } else {
+            (cte.branches.iter().collect(), Vec::new())
+        };
+        let mut all = Relation::with_dict(cte.columns.len(), scope.dict().clone());
+        for branch in base {
+            let plan = self.plan_branch(cte, branch, scope, names)?;
+            let joined = plan.join(scope, names, None, stats)?;
+            plan.project(&joined, scope, names, |tuple| {
+                all.insert_cells(tuple);
+            })?;
+        }
         if !cte.recursive {
-            let mut all = Relation::with_dict(arity, scope.dict().clone());
-            for branch in &cte.branches {
-                let rel = self.evaluate_select(branch, scope, names, None, stats)?;
-                all.merge(&rel)?;
-            }
             return Ok(all);
         }
 
-        // Recursive CTE: base branches seed the working table; recursive
-        // branches see only the previous iteration's delta under the CTE's
-        // own name (the SQL standard's working-table semantics).
-        let mut all = Relation::with_dict(arity, scope.dict().clone());
-        for branch in cte.base_branches() {
-            let rel = self.evaluate_select(branch, scope, names, None, stats)?;
-            all.merge(&rel)?;
-        }
-        // The base tables of the recursive branches are iteration-invariant:
-        // push their single-alias predicates down once, before the loop. The
-        // working-table binding itself (whose contents change every round)
-        // is deliberately left unfiltered.
-        let prefiltered: Vec<Vec<Option<Relation>>> = cte
-            .recursive_branches()
-            .iter()
-            .map(|branch| prefilter_tables(branch, scope, names, Some(&cte.name)))
+        // The recursive branches are planned once: the base tables, their
+        // pushed-down filters, the join order and the keys are the same
+        // every round; only the working table changes.
+        let plans: Vec<SelectPlan> = recursive
+            .into_iter()
+            .map(|branch| self.plan_branch(cte, branch, scope, names))
             .collect::<Result<_>>()?;
-        let mut delta = all.clone();
-        while !delta.is_empty() {
+        all.seed_delta_from_full();
+        while !all.delta_is_empty() {
             guard.checkpoint(CheckPoint::FixpointRound)?;
             if guard.memory_budget().is_some() {
                 guard.check_memory(all.heap_bytes())?;
             }
             stats.recursive_iterations += 1;
-            let mut derived = Relation::with_dict(arity, scope.dict().clone());
-            for (branch, filtered) in cte.recursive_branches().iter().zip(&prefiltered) {
-                let rel = self.evaluate_select_with(
-                    branch,
-                    scope,
-                    names,
-                    Some((&cte.name, &delta)),
-                    filtered,
-                    stats,
-                )?;
-                derived.merge(&rel)?;
+            for plan in &plans {
+                let joined = plan.join(scope, names, Some(&all), stats)?;
+                plan.project(&joined, scope, names, |tuple| {
+                    all.stage_cells(tuple);
+                })?;
             }
-            let new = derived.difference(&all);
-            guard.add_tuples(new.len());
-            all.merge(&new)?;
-            delta = new;
+            guard.add_tuples(all.advance());
         }
         Ok(all)
     }
 
-    /// Evaluate one SELECT. `recursive_binding` substitutes the named table
-    /// with the given relation (the recursive CTE's working delta).
-    fn evaluate_select(
+    /// Plan one UNION branch of `cte`, which must select exactly the CTE's
+    /// columns. A recursive CTE's own name reads its working table.
+    fn plan_branch<'s>(
         &self,
-        stmt: &SelectStmt,
-        scope: &Database,
+        cte: &Cte,
+        branch: &'s SelectStmt,
+        scope: &mut Database,
         names: &TableCatalog,
-        recursive_binding: Option<(&str, &Relation)>,
-        stats: &mut SqlStats,
-    ) -> Result<Relation> {
-        let prefiltered =
-            prefilter_tables(stmt, scope, names, recursive_binding.map(|(name, _)| name))?;
-        self.evaluate_select_with(stmt, scope, names, recursive_binding, &prefiltered, stats)
+    ) -> Result<SelectPlan<'s>> {
+        if branch.items.len() != cte.columns.len() {
+            return Err(RaqletError::execution(format!(
+                "a branch of CTE `{}` selects {} columns, but the CTE declares {}",
+                cte.name,
+                branch.items.len(),
+                cte.columns.len()
+            )));
+        }
+        let working = cte.recursive.then_some(cte.name.as_str());
+        SelectPlan::new(branch, scope, names, working, self.profile)
     }
+}
 
-    /// [`SqlEngine::evaluate_select`] with the selection pushdown already
-    /// computed (recursive CTE loops hoist it out of the working-table
-    /// iteration, since the base tables never change between rounds).
-    fn evaluate_select_with(
-        &self,
-        stmt: &SelectStmt,
-        scope: &Database,
+/// Where a join step reads its rows from.
+enum Source {
+    /// A base table or earlier CTE, read from the scope as stored.
+    Scope(String),
+    /// A scope table with the WHERE conjuncts that read only its alias
+    /// applied at plan time. Without this pushdown, literal filters like
+    /// `R.id = 42` (which carry no equi-join key) would only run after the
+    /// full join — the optimizer's constant propagation would make queries
+    /// slower on this engine, not faster (the original CQ2 pathology).
+    Filtered(Box<Relation>),
+    /// The recursive CTE's working table. It changes every round, so it is
+    /// never pre-filtered; the residual re-check filters its rows.
+    Working,
+}
+
+impl Source {
+    /// The stored relation; `None` for the working table.
+    fn relation<'a>(&'a self, scope: &'a Database) -> Option<&'a Relation> {
+        match self {
+            Source::Scope(table) => scope.get(table),
+            Source::Filtered(rel) => Some(rel.as_ref()),
+            Source::Working => None,
+        }
+    }
+}
+
+/// One FROM item, in join order.
+struct Step {
+    source: Source,
+    /// Equi-join keys to the items joined before it: `(offset in the joined
+    /// row, column of this item)`.
+    keys: Vec<(usize, usize)>,
+    /// The right halves of `keys`: the columns of the index Duck probes.
+    columns: Vec<usize>,
+}
+
+/// One SELECT, planned once before any row is read: the FROM items as
+/// [`Step`]s in join order, the joined-row layout, and the profile that
+/// picks how keyed steps find their candidates.
+struct SelectPlan<'s> {
+    stmt: &'s SelectStmt,
+    /// Parallel to `layout.aliases`.
+    steps: Vec<Step>,
+    layout: RowLayout,
+    /// Cells in a joined row (the sum of the FROM items' arities).
+    width: usize,
+    profile: SqlProfile,
+}
+
+impl<'s> SelectPlan<'s> {
+    /// Plan `stmt`. FROM items naming `working` read the recursive CTE's
+    /// working table. On [`SqlProfile::Duck`], every keyed step over a
+    /// stored relation gets its persistent index here, once.
+    fn new(
+        stmt: &'s SelectStmt,
+        scope: &mut Database,
         names: &TableCatalog,
-        recursive_binding: Option<(&str, &Relation)>,
-        prefiltered: &[Option<Relation>],
-        stats: &mut SqlStats,
-    ) -> Result<Relation> {
-        // Resolve FROM tables and build the row layout.
-        let mut tables: Vec<(&FromItem, &Relation)> = Vec::new();
-        for (i, item) in stmt.from.iter().enumerate() {
-            let rel: &Relation = match &prefiltered[i] {
-                Some(filtered) => filtered,
-                None => match recursive_binding {
-                    Some((name, delta)) if name == item.table => delta,
-                    _ => scope.get(&item.table).ok_or_else(|| {
-                        RaqletError::execution(format!("table `{}` not found", item.table))
-                    })?,
-                },
+        working: Option<&str>,
+        profile: SqlProfile,
+    ) -> Result<Self> {
+        let mut from: Vec<(&FromItem, Source)> = Vec::with_capacity(stmt.from.len());
+        for item in &stmt.from {
+            let source = match working {
+                Some(name) if name == item.table => Source::Working,
+                _ => pushdown(stmt, item, scope, names)?,
             };
-            tables.push((item, rel));
+            from.push((item, source));
         }
         // Join in greedy bound-first order rather than FROM order, mirroring
-        // the Datalog planner: the recursive working table (the delta, when
-        // present) drives the join, and each subsequent table is the one
-        // reached through the most equi-join keys from the tables already
-        // joined (ties broken towards smaller tables). Inner joins plus the
-        // residual re-check make any order produce the same rows; the order
-        // only controls how large the intermediate products get.
-        let order =
-            greedy_join_order(&tables, &stmt.where_conjuncts, recursive_binding.map(|(n, _)| n));
-        let tables: Vec<(&FromItem, &Relation)> = order.iter().map(|&i| tables[i]).collect();
+        // the Datalog planner: the working table (the delta, when present)
+        // drives the join, and each subsequent table is the one reached
+        // through the most equi-join keys from the tables already joined
+        // (ties broken towards smaller tables). Inner joins plus the residual
+        // re-check make any order produce the same rows; the order only
+        // controls how large the intermediate products get.
+        let sizes: Vec<(&FromItem, usize)> = from
+            .iter()
+            .map(|(item, source)| (*item, source.relation(scope).map_or(0, Relation::len)))
+            .collect();
+        let order = greedy_join_order(&sizes, &stmt.where_conjuncts, working);
+        let mut ordered: Vec<(usize, (&FromItem, Source))> = from.into_iter().enumerate().collect();
+        ordered.sort_by_key(|(i, _)| order.iter().position(|o| o == i));
+
         let mut layout = RowLayout::default();
-        let mut offset = 0usize;
-        for (item, rel) in &tables {
+        let mut width = 0usize;
+        for (_, (item, source)) in &ordered {
             let columns = names.columns_of(&item.table)?.to_vec();
-            if !rel.is_empty() && columns.len() != rel.arity() {
-                return Err(RaqletError::execution(format!(
-                    "table `{}` has arity {} but catalog lists {} columns",
-                    item.table,
-                    rel.arity(),
-                    columns.len()
-                )));
-            }
-            layout.aliases.push(AliasColumns {
-                alias: item.alias.clone(),
-                offset,
-                columns: columns.clone(),
-            });
-            offset += columns.len();
-        }
-
-        // Join over packed rows.
-        let rows = match self.profile {
-            SqlProfile::Duck => self.hash_join(&tables, &layout, &stmt.where_conjuncts)?,
-            SqlProfile::Hyper => self.nested_loop_join(&tables, &layout, &stmt.where_conjuncts)?,
-        };
-        stats.rows_produced += rows.len();
-
-        // Residual predicates (everything, including NOT EXISTS — the
-        // equi-join keys evaluate to true on joined rows, so re-checking them
-        // is harmless).
-        let ctx = RowContext { layout: &layout, scope, names, dict: scope.dict() };
-        let mut filtered: Vec<Vec<Cell>> = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut keep = true;
-            for pred in &stmt.where_conjuncts {
-                if !ctx.eval_predicate(pred, &row)? {
-                    keep = false;
-                    break;
+            if let Some(rel) = source.relation(scope) {
+                if !rel.is_empty() && columns.len() != rel.arity() {
+                    return Err(RaqletError::execution(format!(
+                        "table `{}` has arity {} but catalog lists {} columns",
+                        item.table,
+                        rel.arity(),
+                        columns.len()
+                    )));
                 }
             }
-            if keep {
-                filtered.push(row);
-            }
+            let arity = columns.len();
+            layout.aliases.push(AliasColumns { alias: item.alias.clone(), offset: width, columns });
+            width += arity;
         }
 
-        // Projection / aggregation.
-        let mut out = Relation::with_dict(stmt.items.len(), scope.dict().clone());
+        let mut steps = Vec::with_capacity(ordered.len());
+        for (idx, (_, (item, mut source))) in ordered.into_iter().enumerate() {
+            let joined: Vec<&str> =
+                layout.aliases[..idx].iter().map(|a| a.alias.as_str()).collect();
+            let keys = equi_join_keys(&stmt.where_conjuncts, &joined, &item.alias, &layout)?;
+            let columns: Vec<usize> = keys.iter().map(|&(_, column)| column).collect();
+            if profile == SqlProfile::Duck && !columns.is_empty() {
+                match &mut source {
+                    Source::Scope(table) => {
+                        if let Some(rel) = scope.get_mut(table) {
+                            rel.ensure_index(&columns);
+                        }
+                    }
+                    Source::Filtered(rel) => rel.ensure_index(&columns),
+                    Source::Working => {}
+                }
+            }
+            steps.push(Step { source, keys, columns });
+        }
+        Ok(SelectPlan { stmt, steps, layout, width, profile })
+    }
+
+    fn context<'a>(&'a self, scope: &'a Database, names: &'a TableCatalog) -> RowContext<'a> {
+        RowContext { layout: &self.layout, scope, names, dict: scope.dict() }
+    }
+
+    /// The one join loop: extend partial rows step by step in one packed
+    /// buffer (`max(width, 1)` cells a row, so a zero-width row still
+    /// counts), then keep the joined rows every WHERE conjunct accepts.
+    /// `working` is the recursive CTE's relation; its delta is the working
+    /// table.
+    fn join(
+        &self,
+        scope: &Database,
+        names: &TableCatalog,
+        working: Option<&Relation>,
+        stats: &mut SqlStats,
+    ) -> Result<Vec<Cell>> {
+        let stride = self.width.max(1);
+        let mut rows: Vec<Cell> = vec![NULL_CELL; stride];
+        let mut key: Vec<Cell> = Vec::new();
+        for (step, alias) in self.steps.iter().zip(&self.layout.aliases) {
+            let (offset, arity) = (alias.offset, alias.columns.len());
+            let relation = step.source.relation(scope);
+            let scan = match (relation, working) {
+                (Some(rel), _) => rel.full_cells().chunks_exact(rel.stride()),
+                (None, Some(work)) => work.delta_cells().chunks_exact(work.stride()),
+                (None, None) => [].chunks_exact(1),
+            };
+            // The probe choice, the only place the profiles differ.
+            let index = match self.profile {
+                SqlProfile::Duck => {
+                    relation.filter(|rel| !step.columns.is_empty() && rel.has_index(&step.columns))
+                }
+                SqlProfile::Hyper => None,
+            };
+            let mut next: Vec<Cell> = Vec::new();
+            for row in rows.chunks_exact(stride) {
+                let push = |tuple: &[Cell]| {
+                    if step.keys.iter().all(|&(left, right)| row[left] == tuple[right]) {
+                        let at = next.len() + offset;
+                        next.extend_from_slice(row);
+                        next[at..at + arity].copy_from_slice(&tuple[..arity]);
+                    }
+                };
+                match index {
+                    Some(rel) => {
+                        key.clear();
+                        key.extend(step.keys.iter().map(|&(left, _)| row[left]));
+                        rel.probe_index_cells(&step.columns, &key)
+                            .into_iter()
+                            .flatten()
+                            .for_each(push);
+                    }
+                    None => scan.clone().filter(|tuple| !is_tombstone(tuple[0])).for_each(push),
+                }
+            }
+            rows = next;
+        }
+        stats.rows_produced += rows.len() / stride;
+
+        // Residual predicates: every conjunct, including NOT EXISTS. The
+        // equi-join keys hold on joined rows except where both sides are
+        // NULL, which SQL's `=` rejects here.
+        let ctx = self.context(scope, names);
+        let mut kept = 0;
+        'rows: for r in 0..rows.len() / stride {
+            let row = &rows[r * stride..][..self.width];
+            for pred in &self.stmt.where_conjuncts {
+                if !ctx.eval_predicate(pred, row)? {
+                    continue 'rows;
+                }
+            }
+            rows.copy_within(r * stride..(r + 1) * stride, kept * stride);
+            kept += 1;
+        }
+        rows.truncate(kept * stride);
+        Ok(rows)
+    }
+
+    /// Project (or group and aggregate) the rows [`SelectPlan::join`] kept,
+    /// handing each output tuple to `emit`. Raqlet only emits DISTINCT
+    /// selects; the receiving relation deduplicates.
+    fn project(
+        &self,
+        joined: &[Cell],
+        scope: &Database,
+        names: &TableCatalog,
+        mut emit: impl FnMut(&[Cell]),
+    ) -> Result<()> {
+        let ctx = self.context(scope, names);
+        let stmt = self.stmt;
+        let rows = joined.chunks_exact(self.width.max(1)).map(|row| &row[..self.width]);
+        let mut tuple: Vec<Cell> = Vec::with_capacity(stmt.items.len());
         if stmt.is_aggregating() {
-            let mut groups: FxHashMap<Vec<Cell>, Vec<Vec<Cell>>> = FxHashMap::default();
-            for row in filtered {
-                let key: Vec<Cell> = stmt
-                    .group_by
-                    .iter()
-                    .map(|g| ctx.eval_cell(g, &row))
-                    .collect::<Result<Vec<_>>>()?;
+            let mut groups: FxHashMap<Vec<Cell>, Vec<&[Cell]>> = FxHashMap::default();
+            for row in rows {
+                let key: Vec<Cell> =
+                    stmt.group_by.iter().map(|g| ctx.eval_cell(g, row)).collect::<Result<_>>()?;
                 groups.entry(key).or_default().push(row);
             }
             if groups.is_empty() && stmt.group_by.is_empty() {
                 groups.insert(Vec::new(), Vec::new());
             }
-            let mut tuple: Vec<Cell> = Vec::with_capacity(stmt.items.len());
-            for (_, group_rows) in groups {
+            for group_rows in groups.values() {
                 tuple.clear();
                 for item in &stmt.items {
-                    let value = ctx.eval_aggregate_item(&item.expr, &group_rows)?;
+                    let value = ctx.eval_aggregate_item(&item.expr, group_rows)?;
                     tuple.push(ctx.dict.encode_value(&value));
                 }
-                out.insert_cells(&tuple);
+                emit(&tuple);
             }
         } else {
-            let mut tuple: Vec<Cell> = Vec::with_capacity(stmt.items.len());
-            for row in filtered {
+            for row in rows {
                 tuple.clear();
                 for item in &stmt.items {
-                    tuple.push(ctx.eval_cell(&item.expr, &row)?);
+                    tuple.push(ctx.eval_cell(&item.expr, row)?);
                 }
-                // Raqlet only emits DISTINCT selects; the set-backed Relation
-                // deduplicates for us.
-                out.insert_cells(&tuple);
+                emit(&tuple);
             }
         }
-        Ok(out)
-    }
-
-    /// Hash join: join tables left to right, building a hash table over the
-    /// new table's equi-join columns and probing it with the partial rows.
-    /// Keys are packed cells — single-key joins index on the bare `u64`.
-    fn hash_join(
-        &self,
-        tables: &[(&FromItem, &Relation)],
-        layout: &RowLayout,
-        predicates: &[SqlExpr],
-    ) -> Result<Vec<Vec<Cell>>> {
-        let mut rows: Vec<Vec<Cell>> = vec![Vec::new()];
-        for (idx, (item, rel)) in tables.iter().enumerate() {
-            let joined: Vec<&str> = tables[..idx].iter().map(|(i, _)| i.alias.as_str()).collect();
-            let keys = equi_join_keys(predicates, &joined, &item.alias, layout)?;
-            let mut next = Vec::new();
-            if keys.is_empty() {
-                for row in &rows {
-                    for tuple in rel.iter_rows() {
-                        let mut r = Vec::with_capacity(row.len() + tuple.len());
-                        r.extend_from_slice(row);
-                        r.extend_from_slice(tuple);
-                        next.push(r);
-                    }
-                }
-            } else if keys.len() == 1 {
-                let (left_off, right_col) = keys[0];
-                let mut index: FxHashMap<Cell, Vec<&[Cell]>> = FxHashMap::default();
-                for tuple in rel.iter_rows() {
-                    index.entry(tuple[right_col]).or_default().push(tuple);
-                }
-                for row in &rows {
-                    if let Some(matches) = index.get(&row[left_off]) {
-                        for tuple in matches {
-                            let mut r = Vec::with_capacity(row.len() + tuple.len());
-                            r.extend_from_slice(row);
-                            r.extend_from_slice(tuple);
-                            next.push(r);
-                        }
-                    }
-                }
-            } else {
-                let mut index: FxHashMap<Vec<Cell>, Vec<&[Cell]>> = FxHashMap::default();
-                for tuple in rel.iter_rows() {
-                    let key: Vec<Cell> =
-                        keys.iter().map(|(_, right_col)| tuple[*right_col]).collect();
-                    index.entry(key).or_default().push(tuple);
-                }
-                let mut key: Vec<Cell> = Vec::with_capacity(keys.len());
-                for row in &rows {
-                    key.clear();
-                    key.extend(keys.iter().map(|(left_off, _)| row[*left_off]));
-                    if let Some(matches) = index.get(key.as_slice()) {
-                        for tuple in matches {
-                            let mut r = Vec::with_capacity(row.len() + tuple.len());
-                            r.extend_from_slice(row);
-                            r.extend_from_slice(tuple);
-                            next.push(r);
-                        }
-                    }
-                }
-            }
-            rows = next;
-        }
-        Ok(rows)
-    }
-
-    /// Nested-loop join: every new table is scanned per partial row, checking
-    /// the applicable equi-join predicates pair by pair (cell compares).
-    fn nested_loop_join(
-        &self,
-        tables: &[(&FromItem, &Relation)],
-        layout: &RowLayout,
-        predicates: &[SqlExpr],
-    ) -> Result<Vec<Vec<Cell>>> {
-        let mut rows: Vec<Vec<Cell>> = vec![Vec::new()];
-        for (idx, (item, rel)) in tables.iter().enumerate() {
-            let joined: Vec<&str> = tables[..idx].iter().map(|(i, _)| i.alias.as_str()).collect();
-            let keys = equi_join_keys(predicates, &joined, &item.alias, layout)?;
-            let mut next = Vec::new();
-            for row in &rows {
-                for tuple in rel.iter_rows() {
-                    let ok = keys
-                        .iter()
-                        .all(|(left_off, right_col)| row[*left_off] == tuple[*right_col]);
-                    if ok {
-                        let mut r = Vec::with_capacity(row.len() + tuple.len());
-                        r.extend_from_slice(row);
-                        r.extend_from_slice(tuple);
-                        next.push(r);
-                    }
-                }
-            }
-            rows = next;
-        }
-        Ok(rows)
+        Ok(())
     }
 }
 
@@ -508,55 +559,40 @@ impl RowLayout {
     }
 }
 
-/// Selection pushdown: filter each FROM table by the predicates that
-/// reference only its alias *before* joining. Without this, literal filters
-/// like `R.id = 42` (which carry no equi-join key) only run after the full
-/// join materialises — the optimizer's constant propagation would make
-/// queries slower on this engine, not faster (the original CQ2 pathology).
-/// Returns one entry per FROM item; `None` means the
-/// table has no pushable predicate (or is the iteration-variant recursive
-/// working table named by `skip_table`) and should be read as-is.
-fn prefilter_tables(
+/// Resolve a FROM item to its stored [`Source`], filtered by the WHERE
+/// conjuncts that reference only its alias when there are any.
+fn pushdown(
     stmt: &SelectStmt,
+    item: &FromItem,
     scope: &Database,
     names: &TableCatalog,
-    skip_table: Option<&str>,
-) -> Result<Vec<Option<Relation>>> {
-    let mut prefiltered: Vec<Option<Relation>> = Vec::with_capacity(stmt.from.len());
-    for item in &stmt.from {
-        if skip_table == Some(item.table.as_str()) {
-            prefiltered.push(None);
-            continue;
-        }
-        let single: Vec<&SqlExpr> =
-            stmt.where_conjuncts.iter().filter(|p| references_only_alias(p, &item.alias)).collect();
-        if single.is_empty() {
-            prefiltered.push(None);
-            continue;
-        }
-        let rel = scope
-            .get(&item.table)
-            .ok_or_else(|| RaqletError::execution(format!("table `{}` not found", item.table)))?;
-        let layout = RowLayout {
-            aliases: vec![AliasColumns {
-                alias: item.alias.clone(),
-                offset: 0,
-                columns: names.columns_of(&item.table)?.to_vec(),
-            }],
-        };
-        let ctx = RowContext { layout: &layout, scope, names, dict: scope.dict() };
-        let mut kept = Relation::with_dict(rel.arity(), scope.dict().clone());
-        'rows: for tuple in rel.iter_rows() {
-            for pred in &single {
-                if !ctx.eval_predicate(pred, tuple)? {
-                    continue 'rows;
-                }
-            }
-            kept.insert_cells(tuple);
-        }
-        prefiltered.push(Some(kept));
+) -> Result<Source> {
+    let rel = scope
+        .get(&item.table)
+        .ok_or_else(|| RaqletError::execution(format!("table `{}` not found", item.table)))?;
+    let single: Vec<&SqlExpr> =
+        stmt.where_conjuncts.iter().filter(|p| references_only_alias(p, &item.alias)).collect();
+    if single.is_empty() {
+        return Ok(Source::Scope(item.table.clone()));
     }
-    Ok(prefiltered)
+    let layout = RowLayout {
+        aliases: vec![AliasColumns {
+            alias: item.alias.clone(),
+            offset: 0,
+            columns: names.columns_of(&item.table)?.to_vec(),
+        }],
+    };
+    let ctx = RowContext { layout: &layout, scope, names, dict: scope.dict() };
+    let mut kept = Relation::with_dict(rel.arity(), scope.dict().clone());
+    'rows: for tuple in rel.iter_rows() {
+        for pred in &single {
+            if !ctx.eval_predicate(pred, tuple)? {
+                continue 'rows;
+            }
+        }
+        kept.insert_cells(tuple);
+    }
+    Ok(Source::Filtered(Box::new(kept)))
 }
 
 /// True if the predicate can be evaluated against a single table alias: all
@@ -577,10 +613,10 @@ fn references_only_alias(expr: &SqlExpr, alias: &str) -> bool {
 /// table first when present (it plays the role of the Datalog delta — small
 /// and shrinking towards the fixpoint), then greedily the table connected to
 /// the already-joined set by the most equi-join predicates, with ties broken
-/// towards smaller tables and then FROM position. Returns indexes into
-/// `tables`.
+/// towards smaller tables and then FROM position. `tables` pairs each FROM
+/// item with its row count; returns indexes into it.
 fn greedy_join_order(
-    tables: &[(&FromItem, &Relation)],
+    tables: &[(&FromItem, usize)],
     predicates: &[SqlExpr],
     recursive_table: Option<&str>,
 ) -> Vec<usize> {
@@ -602,9 +638,8 @@ fn greedy_join_order(
             .iter()
             .enumerate()
             .map(|(pos, &idx)| {
-                let alias = tables[idx].0.alias.as_str();
-                let keys = connecting_key_count(predicates, &joined, alias);
-                let size = tables[idx].1.len();
+                let (item, size) = tables[idx];
+                let keys = equi_join_pairs(predicates, &joined, &item.alias).count();
                 (pos, (keys as i64, -(size as i64), -(idx as i64)))
             })
             .max_by_key(|(_, score)| *score)
@@ -615,50 +650,44 @@ fn greedy_join_order(
     order
 }
 
-/// Number of `a.x = b.y` predicates connecting the already-joined aliases to
-/// `new_alias` (the hash/nested-loop joins will use exactly these as keys).
-fn connecting_key_count(predicates: &[SqlExpr], joined: &[&str], new_alias: &str) -> usize {
-    predicates
-        .iter()
-        .filter(|pred| {
-            let SqlExpr::Cmp { op: SqlCmpOp::Eq, lhs, rhs } = pred else { return false };
-            let (SqlExpr::Column { table: t1, .. }, SqlExpr::Column { table: t2, .. }) =
-                (lhs.as_ref(), rhs.as_ref())
-            else {
-                return false;
-            };
-            (joined.contains(&t1.as_str()) && t2 == new_alias)
-                || (joined.contains(&t2.as_str()) && t1 == new_alias)
-        })
-        .count()
+/// The `a.x = b.y` predicates connecting the already-joined aliases to
+/// `new_alias`, each as `((joined alias, column), (new alias, column))`.
+fn equi_join_pairs<'p>(
+    predicates: &'p [SqlExpr],
+    joined: &'p [&str],
+    new_alias: &'p str,
+) -> impl Iterator<Item = ((&'p str, &'p str), (&'p str, &'p str))> + 'p {
+    predicates.iter().filter_map(move |pred| {
+        let SqlExpr::Cmp { op: SqlCmpOp::Eq, lhs, rhs } = pred else { return None };
+        let (SqlExpr::Column { table: t1, column: c1 }, SqlExpr::Column { table: t2, column: c2 }) =
+            (lhs.as_ref(), rhs.as_ref())
+        else {
+            return None;
+        };
+        let (a, b) = ((t1.as_str(), c1.as_str()), (t2.as_str(), c2.as_str()));
+        if joined.contains(&a.0) && b.0 == new_alias {
+            Some((a, b))
+        } else if joined.contains(&b.0) && a.0 == new_alias {
+            Some((b, a))
+        } else {
+            None
+        }
+    })
 }
 
-/// Extract equi-join keys `(left row offset, right local column index)`
-/// between the already-joined aliases and the alias being added.
+/// Equi-join keys `(left row offset, right local column index)` between the
+/// already-joined aliases and the alias being added.
 fn equi_join_keys(
     predicates: &[SqlExpr],
     joined: &[&str],
     new_alias: &str,
     layout: &RowLayout,
 ) -> Result<Vec<(usize, usize)>> {
-    let mut keys = Vec::new();
-    for pred in predicates {
-        let SqlExpr::Cmp { op: SqlCmpOp::Eq, lhs, rhs } = pred else { continue };
-        let (SqlExpr::Column { table: t1, column: c1 }, SqlExpr::Column { table: t2, column: c2 }) =
-            (lhs.as_ref(), rhs.as_ref())
-        else {
-            continue;
-        };
-        let (left, right) = if joined.contains(&t1.as_str()) && t2 == new_alias {
-            ((t1, c1), (t2, c2))
-        } else if joined.contains(&t2.as_str()) && t1 == new_alias {
-            ((t2, c2), (t1, c1))
-        } else {
-            continue;
-        };
-        keys.push((layout.offset_of(left.0, left.1)?, layout.local_index(right.0, right.1)?));
-    }
-    Ok(keys)
+    equi_join_pairs(predicates, joined, new_alias)
+        .map(|(left, right)| {
+            Ok((layout.offset_of(left.0, left.1)?, layout.local_index(right.0, right.1)?))
+        })
+        .collect()
 }
 
 /// Evaluation context for one SELECT: the joined-row layout plus the shared
@@ -761,7 +790,7 @@ impl<'a> RowContext<'a> {
         }
     }
 
-    fn eval_aggregate_item(&self, expr: &SqlExpr, group_rows: &[Vec<Cell>]) -> Result<Value> {
+    fn eval_aggregate_item(&self, expr: &SqlExpr, group_rows: &[&[Cell]]) -> Result<Value> {
         match expr {
             SqlExpr::Aggregate { func, distinct, arg } => {
                 let mut values: Vec<Value> = match arg {
@@ -1039,14 +1068,8 @@ mod tests {
             .iter()
             .map(|(t, a)| FromItem { table: t.to_string(), alias: a.to_string() })
             .collect();
-        let work = Relation::from_tuples(1, vec![vec![Value::Int(1)]]).unwrap();
-        let big =
-            Relation::from_tuples(1, (0..100).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>())
-                .unwrap();
-        let small =
-            Relation::from_tuples(1, vec![vec![Value::Int(1)], vec![Value::Int(2)]]).unwrap();
-        let tables: Vec<(&FromItem, &Relation)> =
-            vec![(&items[0], &work), (&items[1], &big), (&items[2], &small)];
+        let tables: Vec<(&FromItem, usize)> =
+            vec![(&items[0], 1), (&items[1], 100), (&items[2], 2)];
         let col = |t: &str, c: &str| SqlExpr::Column { table: t.into(), column: c.into() };
         // work joins small; small joins big. FROM order would join work×big
         // first (a cross product).

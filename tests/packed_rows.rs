@@ -176,27 +176,17 @@ fn packed_joins_agree_with_a_value_level_join_model() {
 }
 
 #[test]
-fn projection_and_difference_agree_with_value_models() {
+fn projection_agrees_with_value_models() {
     let mut rng = SplitMix64::seed_from_u64(0x9E0);
     for case in 0..16 {
         let mut db = Database::new();
         for _ in 0..rng.gen_range(1..60) {
             db.insert_fact("a", random_tuple(&mut rng, 3)).unwrap();
         }
-        for _ in 0..rng.gen_range(1..60) {
-            db.insert_fact("b", random_tuple(&mut rng, 3)).unwrap();
-        }
         let a = db.get("a").unwrap();
-        let b = db.get("b").unwrap();
-
         let projected: BTreeSet<Tuple> = a.project(&[2, 0]).iter().collect();
         let model: BTreeSet<Tuple> = a.iter().map(|t| vec![t[2].clone(), t[0].clone()]).collect();
         assert_eq!(projected, model, "case {case}: projection diverged");
-
-        let diff: BTreeSet<Tuple> = a.difference(b).iter().collect();
-        let bset: BTreeSet<Tuple> = b.iter().collect();
-        let diff_model: BTreeSet<Tuple> = a.iter().filter(|t| !bset.contains(t)).collect();
-        assert_eq!(diff, diff_model, "case {case}: difference diverged");
     }
 }
 
