@@ -78,26 +78,17 @@ impl ArithOp {
         }
     }
 
-    /// Evaluate on integers; division/modulo by zero and non-integer operands
-    /// yield `None`.
+    /// Evaluate on integers: the one checked integer arithmetic every engine
+    /// uses. Overflow (including `i64::MIN / -1` and `i64::MIN % -1`),
+    /// division or modulo by zero, and non-integer operands yield `None`.
     pub fn eval(&self, lhs: &Value, rhs: &Value) -> Option<Value> {
         let (a, b) = (lhs.as_int()?, rhs.as_int()?);
         let v = match self {
             ArithOp::Add => a.checked_add(b)?,
             ArithOp::Sub => a.checked_sub(b)?,
             ArithOp::Mul => a.checked_mul(b)?,
-            ArithOp::Div => {
-                if b == 0 {
-                    return None;
-                }
-                a / b
-            }
-            ArithOp::Mod => {
-                if b == 0 {
-                    return None;
-                }
-                a % b
-            }
+            ArithOp::Div => a.checked_div(b)?,
+            ArithOp::Mod => a.checked_rem(b)?,
         };
         Some(Value::Int(v))
     }
@@ -652,6 +643,17 @@ mod tests {
         assert_eq!(ArithOp::Div.eval(&Value::Int(7), &Value::Int(0)), None);
         assert_eq!(ArithOp::Mod.eval(&Value::Int(7), &Value::Int(0)), None);
         assert_eq!(ArithOp::Mul.eval(&Value::str("x"), &Value::Int(2)), None);
+    }
+
+    #[test]
+    fn arith_eval_overflow_yields_none() {
+        let (max, min, minus_one) = (Value::Int(i64::MAX), Value::Int(i64::MIN), Value::Int(-1));
+        assert_eq!(ArithOp::Add.eval(&max, &Value::Int(1)), None);
+        assert_eq!(ArithOp::Sub.eval(&min, &Value::Int(1)), None);
+        assert_eq!(ArithOp::Mul.eval(&max, &Value::Int(2)), None);
+        assert_eq!(ArithOp::Div.eval(&min, &minus_one), None);
+        assert_eq!(ArithOp::Mod.eval(&min, &minus_one), None);
+        assert_eq!(ArithOp::Div.eval(&max, &minus_one), Some(Value::Int(-i64::MAX)));
     }
 
     #[test]

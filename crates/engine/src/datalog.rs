@@ -1990,6 +1990,47 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_arithmetic_drops_the_binding() {
+        // up(x, z) :- num(x), z = x + 1.  neg(x, z) :- num(x), z = x / -1.
+        let assign = |head: &str, op, rhs: i64| {
+            Rule::new(
+                Atom::with_vars(head, &["x", "z"]),
+                vec![
+                    atom("num", &["x"]),
+                    BodyElem::eq(
+                        DlExpr::var("z"),
+                        DlExpr::Arith {
+                            op,
+                            lhs: Box::new(DlExpr::var("x")),
+                            rhs: Box::new(DlExpr::int(rhs)),
+                        },
+                    ),
+                ],
+            )
+        };
+        let mut p = DlirProgram::default();
+        p.add_rule(assign("up", raqlet_dlir::ArithOp::Add, 1));
+        p.add_rule(assign("neg", raqlet_dlir::ArithOp::Div, -1));
+        p.add_output("up");
+        p.add_output("neg");
+        let mut db = Database::new();
+        for x in [i64::MAX, i64::MIN, 5] {
+            db.insert_fact("num", vec![Value::Int(x)]).unwrap();
+        }
+        let rows = |xs: &[(i64, i64)]| -> Vec<Vec<Value>> {
+            let mut rows: Vec<Vec<Value>> =
+                xs.iter().map(|&(x, z)| vec![Value::Int(x), Value::Int(z)]).collect();
+            rows.sort();
+            rows
+        };
+        let engine = DatalogEngine::new();
+        let up = engine.run_output(&p, &db, "up").unwrap();
+        assert_eq!(up.sorted(), rows(&[(i64::MIN, i64::MIN + 1), (5, 6)]));
+        let neg = engine.run_output(&p, &db, "neg").unwrap();
+        assert_eq!(neg.sorted(), rows(&[(i64::MAX, -i64::MAX), (5, -5)]));
+    }
+
+    #[test]
     fn failed_arithmetic_assignments_drop_only_their_bindings() {
         // h(x) :- r(x, y), z = 10 / y, z > 1. Division by zero must drop the
         // (1, 0) binding — and only it — independent of insertion order.

@@ -20,6 +20,7 @@ use raqlet_common::guard::{CheckPoint, QueryGuard};
 use raqlet_common::hash::{FxHashMap, FxHashSet};
 use raqlet_common::schema::normalize_label;
 use raqlet_common::{RaqletError, Relation, Result, Value};
+use raqlet_dlir::ArithOp as DlArithOp;
 use raqlet_pgir::{
     AggFunc, ArithOp, ChainPat, CmpOp, MatchConstruct, OutputItem, PathPat, PatternElem,
     PgirClause, PgirExpr, PgirQuery,
@@ -905,26 +906,14 @@ fn eval_predicate(expr: &PgirExpr, row: &Row, graph: &PropertyGraph) -> Result<V
         PgirExpr::Arith { op, lhs, rhs } => {
             let l = eval_predicate(lhs, row, graph)?;
             let r = eval_predicate(rhs, row, graph)?;
-            let (Some(a), Some(b)) = (l.as_int(), r.as_int()) else { return Ok(Value::Null) };
-            Ok(match op {
-                ArithOp::Add => Value::Int(a + b),
-                ArithOp::Sub => Value::Int(a - b),
-                ArithOp::Mul => Value::Int(a * b),
-                ArithOp::Div => {
-                    if b == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int(a / b)
-                    }
-                }
-                ArithOp::Mod => {
-                    if b == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int(a % b)
-                    }
-                }
-            })
+            let op = match op {
+                ArithOp::Add => DlArithOp::Add,
+                ArithOp::Sub => DlArithOp::Sub,
+                ArithOp::Mul => DlArithOp::Mul,
+                ArithOp::Div => DlArithOp::Div,
+                ArithOp::Mod => DlArithOp::Mod,
+            };
+            Ok(op.eval(&l, &r).unwrap_or(Value::Null))
         }
         PgirExpr::Aggregate { .. } => {
             Err(RaqletError::semantic("aggregate outside of WITH/RETURN projection"))
@@ -983,6 +972,21 @@ mod tests {
     fn run(src: &str, graph: &PropertyGraph) -> GraphResult {
         let pgir = cypher_to_pgir(src, &LowerOptions::new()).unwrap();
         GraphEngine::new().execute(&pgir, graph).unwrap()
+    }
+
+    #[test]
+    fn overflowing_arithmetic_yields_null() {
+        let mut g = PropertyGraph::new();
+        for v in [i64::MAX, i64::MIN] {
+            g.add_node("Num", vec![("v", Value::Int(v)), ("d", Value::Int(-1))]).unwrap();
+        }
+        let result = run("MATCH (n:Num) RETURN DISTINCT n.v + 1 AS up, n.v / n.d AS q", &g);
+        let mut expected = vec![
+            vec![Value::Null, Value::Int(-i64::MAX)],
+            vec![Value::Int(i64::MIN + 1), Value::Null],
+        ];
+        expected.sort();
+        assert_eq!(result.rows.sorted(), expected);
     }
 
     #[test]

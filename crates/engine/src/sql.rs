@@ -45,6 +45,7 @@ use raqlet_common::guard::{CheckPoint, QueryGuard};
 use raqlet_common::hash::FxHashMap;
 use raqlet_common::schema::DlSchema;
 use raqlet_common::{Database, RaqletError, Relation, Result, Value};
+use raqlet_dlir::ArithOp;
 use raqlet_sqir::{
     Cte, FromItem, SelectStmt, SqirQuery, SqlAggFunc, SqlArithOp, SqlCmpOp, SqlExpr,
 };
@@ -779,7 +780,14 @@ impl<'a> RowContext<'a> {
             SqlExpr::Arith { op, lhs, rhs } => {
                 let l = self.eval_scalar_with(lhs, row, candidate)?;
                 let r = self.eval_scalar_with(rhs, row, candidate)?;
-                eval_arith(*op, &l, &r)
+                let op = match op {
+                    SqlArithOp::Add => ArithOp::Add,
+                    SqlArithOp::Sub => ArithOp::Sub,
+                    SqlArithOp::Mul => ArithOp::Mul,
+                    SqlArithOp::Div => ArithOp::Div,
+                    SqlArithOp::Mod => ArithOp::Mod,
+                };
+                Ok(op.eval(&l, &r).unwrap_or(Value::Null))
             }
             SqlExpr::Aggregate { .. } => Err(RaqletError::execution(
                 "aggregate expression evaluated outside GROUP BY context",
@@ -843,32 +851,6 @@ fn eval_cmp(op: SqlCmpOp, l: &Value, r: &Value) -> bool {
         SqlCmpOp::Gt => l > r,
         SqlCmpOp::Ge => l >= r,
     }
-}
-
-fn eval_arith(op: SqlArithOp, l: &Value, r: &Value) -> Result<Value> {
-    let (a, b) = match (l.as_int(), r.as_int()) {
-        (Some(a), Some(b)) => (a, b),
-        _ => return Ok(Value::Null),
-    };
-    Ok(match op {
-        SqlArithOp::Add => Value::Int(a + b),
-        SqlArithOp::Sub => Value::Int(a - b),
-        SqlArithOp::Mul => Value::Int(a * b),
-        SqlArithOp::Div => {
-            if b == 0 {
-                Value::Null
-            } else {
-                Value::Int(a / b)
-            }
-        }
-        SqlArithOp::Mod => {
-            if b == 0 {
-                Value::Null
-            } else {
-                Value::Int(a % b)
-            }
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1272,6 +1254,37 @@ mod tests {
             for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
                 assert_eq!(run(&p, "q", &db, profile), dl_rows, "{profile:?}");
             }
+        }
+    }
+
+    #[test]
+    fn overflowing_arithmetic_yields_null() {
+        // SELECT e.src + 1, e.src / e.dst FROM edge e over (MAX, -1), (MIN, -1).
+        let arith = |op, rhs| SqlExpr::Arith { op, lhs: Box::new(col("e", "src")), rhs };
+        let query = SqirQuery {
+            ctes: Vec::new(),
+            final_select: select(
+                &[
+                    (arith(SqlArithOp::Add, Box::new(SqlExpr::int(1))), "up"),
+                    (arith(SqlArithOp::Div, Box::new(col("e", "dst"))), "q"),
+                ],
+                &[("edge", "e")],
+                Vec::new(),
+            ),
+            needs_recursive: false,
+        };
+        let mut db = Database::new();
+        for x in [i64::MAX, i64::MIN] {
+            db.insert_fact("edge", vec![Value::Int(x), Value::Int(-1)]).unwrap();
+        }
+        let mut expected = vec![
+            vec![Value::Null, Value::Int(-i64::MAX)],
+            vec![Value::Int(i64::MIN + 1), Value::Null],
+        ];
+        expected.sort();
+        for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
+            let rows = run_sqir(&query, &db, profile).unwrap().rows;
+            assert_eq!(rows.sorted(), expected, "{profile:?}");
         }
     }
 
