@@ -71,7 +71,8 @@ pub enum CheckPoint {
     /// Start of a parallel rule-application chunk, on the worker thread.
     ParallelChunk,
     /// Periodic check inside a join/scan inner loop (every
-    /// [`JOIN_SCAN_PERIOD`] candidate rows).
+    /// [`JOIN_SCAN_PERIOD`] candidate rows), and once after each Datalog rule
+    /// application's join, before its rows are stored.
     JoinScan,
     /// Per-clause and per-frontier-step checks in the graph engine.
     GraphStep,

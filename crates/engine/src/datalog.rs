@@ -488,10 +488,12 @@ impl DatalogEngine {
         Ok(())
     }
 
-    /// One counted rule application: [`DatalogEngine::apply_rule`], then
-    /// [`store_derived`] into the head relation (staged for the next
-    /// [`Relation::advance`] when `stage`, else published). Returns the
-    /// derived rows.
+    /// One counted rule application: [`DatalogEngine::apply_rule`], a guard
+    /// checkpoint, then [`store_derived`] into the head relation (staged for
+    /// the next [`Relation::advance`] when `stage`, else published). Returns
+    /// the derived rows. The checkpoint bounds the unchecked stretch of a
+    /// round: a join of fewer than [`JOIN_SCAN_PERIOD`] candidates ticks no
+    /// `JoinScan` check of its own, and the staging after it is unchecked.
     pub(crate) fn fire(
         &self,
         plan: &RulePlan,
@@ -504,6 +506,7 @@ impl DatalogEngine {
         stats.rule_applications += 1;
         let derived = self.apply_rule(plan, db, delta_pos, stats, guard)?;
         stats.tuples_derived += derived.rows;
+        guard.checkpoint(CheckPoint::JoinScan)?;
         store_derived(plan, db, &derived, stage)?;
         Ok(derived)
     }
@@ -2394,7 +2397,7 @@ mod tests {
                     tuples_derived: 21,
                     parallel_tasks: 0,
                 },
-                7,
+                15,
             ),
             (
                 parallel,
@@ -2407,7 +2410,7 @@ mod tests {
                     tuples_derived: 21,
                     parallel_tasks: 18,
                 },
-                25,
+                33,
             ),
         ];
         let db = chain_edges(6);
@@ -2547,8 +2550,11 @@ mod tests {
             &points_to_facts(48),
             &[("pt", 764), ("hpt", 118)],
             [
-                (stats(0), &[("FixpointRound", 22), ("Scc", 1)]),
-                (stats(406), &[("FixpointRound", 22), ("ParallelChunk", 406), ("Scc", 1)]),
+                (stats(0), &[("FixpointRound", 22), ("JoinScan", 108), ("Scc", 1)]),
+                (
+                    stats(406),
+                    &[("FixpointRound", 22), ("JoinScan", 108), ("ParallelChunk", 406), ("Scc", 1)],
+                ),
             ],
         );
     }
@@ -2572,7 +2578,8 @@ mod tests {
     fn large_closure_work_counts_are_pinned() {
         // Over 7 layers of 24 the first delta round joins 24^3 * 5 = 69 120
         // candidates in one application, more than `JOIN_SCAN_PERIOD`, so the
-        // sequential run pins the join's `JoinScan` ticks too.
+        // sequential run pins the join's in-loop `JoinScan` tick too: one on
+        // top of the one `JoinScan` check after each of the 8 applications.
         let stats = |parallel_tasks| EvalStats {
             strata: 1,
             sccs: 1,
@@ -2587,8 +2594,11 @@ mod tests {
             &layered_edges(7, 24),
             &[("tc", 576 * 21)],
             [
-                (stats(0), &[("FixpointRound", 6), ("JoinScan", 1), ("Scc", 1)]),
-                (stats(28), &[("FixpointRound", 6), ("ParallelChunk", 28), ("Scc", 1)]),
+                (stats(0), &[("FixpointRound", 6), ("JoinScan", 9), ("Scc", 1)]),
+                (
+                    stats(28),
+                    &[("FixpointRound", 6), ("JoinScan", 8), ("ParallelChunk", 28), ("Scc", 1)],
+                ),
             ],
         );
     }

@@ -288,10 +288,10 @@ fn facade_guarded_entry_points_agree_with_unguarded() {
         .with_tuple_budget(u64::MAX)
         .with_cancellation(CancellationToken::new());
     let cases = [
-        (raqlet_ldbc::SQ1, OptLevel::None, 3),
-        (raqlet_ldbc::SQ1, OptLevel::Full, 1),
-        (raqlet_ldbc::CQ2, OptLevel::None, 3),
-        (raqlet_ldbc::CQ2, OptLevel::Full, 1),
+        (raqlet_ldbc::SQ1, OptLevel::None, 6),
+        (raqlet_ldbc::SQ1, OptLevel::Full, 2),
+        (raqlet_ldbc::CQ2, OptLevel::None, 7),
+        (raqlet_ldbc::CQ2, OptLevel::Full, 3),
     ];
     for (query, level, checkpoints) in cases {
         let label = format!("{} at {level:?}", query.name);

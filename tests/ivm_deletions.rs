@@ -281,7 +281,7 @@ fn one_batch_per_strategy_has_pinned_cost() {
             edges(&[(0, 1), (1, 2), (2, 3), (0, 2)]),
             ins_del,
             stats(1, 1, 1, 2, 17, 11),
-            10,
+            11,
         ),
         (
             "dred-negation",
@@ -290,7 +290,7 @@ fn one_batch_per_strategy_has_pinned_cost() {
             blocked_db,
             block_moves,
             stats(1, 1, 1, 5, 15, 13),
-            10,
+            14,
         ),
         (
             "lattice-monotone",
@@ -299,9 +299,9 @@ fn one_batch_per_strategy_has_pinned_cost() {
             edges(&[(0, 1), (1, 2)]),
             inserts,
             stats(1, 1, 1, 2, 3, 4),
-            3,
+            4,
         ),
-        ("dred-bail-out", tc_program(), "tc", edges(&cycle), cut, stats(1, 1, 1, 8, 12, 68), 11),
+        ("dred-bail-out", tc_program(), "tc", edges(&cycle), cut, stats(1, 1, 1, 8, 12, 68), 20),
     ];
     for (label, program, output, db, delta, expected, checkpoints) in cases {
         let mut prepared = PreparedDatabase::with_engine(db, DatalogEngine::with_threads(1));
