@@ -214,7 +214,7 @@ impl SqlEngine {
         };
         let mut all = Relation::with_dict(cte.columns.len(), scope.dict().clone());
         for branch in base {
-            let plan = self.plan_branch(cte, branch, scope, names)?;
+            let plan = SelectPlan::new(branch, scope, names, Some(cte), self.profile)?;
             let joined = plan.join(scope, names, None, stats)?;
             plan.project(&joined, scope, names, |tuple| {
                 all.insert_cells(tuple);
@@ -229,7 +229,7 @@ impl SqlEngine {
         // every round; only the working table changes.
         let plans: Vec<SelectPlan> = recursive
             .into_iter()
-            .map(|branch| self.plan_branch(cte, branch, scope, names))
+            .map(|branch| SelectPlan::new(branch, scope, names, Some(cte), self.profile))
             .collect::<Result<_>>()?;
         all.seed_delta_from_full();
         while !all.delta_is_empty() {
@@ -247,27 +247,6 @@ impl SqlEngine {
             guard.add_tuples(all.advance());
         }
         Ok(all)
-    }
-
-    /// Plan one UNION branch of `cte`, which must select exactly the CTE's
-    /// columns. A recursive CTE's own name reads its working table.
-    fn plan_branch<'s>(
-        &self,
-        cte: &Cte,
-        branch: &'s SelectStmt,
-        scope: &mut Database,
-        names: &TableCatalog,
-    ) -> Result<SelectPlan<'s>> {
-        if branch.items.len() != cte.columns.len() {
-            return Err(RaqletError::execution(format!(
-                "a branch of CTE `{}` selects {} columns, but the CTE declares {}",
-                cte.name,
-                branch.items.len(),
-                cte.columns.len()
-            )));
-        }
-        let working = cte.recursive.then_some(cte.name.as_str());
-        SelectPlan::new(branch, scope, names, working, self.profile)
     }
 }
 
@@ -321,16 +300,26 @@ struct SelectPlan<'s> {
 }
 
 impl<'s> SelectPlan<'s> {
-    /// Plan `stmt`. FROM items naming `working` read the recursive CTE's
-    /// working table. On [`SqlProfile::Duck`], every keyed step over a
-    /// stored relation gets its persistent index here, once.
+    /// Plan `stmt`, the final SELECT or a UNION branch of `cte`. A branch
+    /// must select exactly its CTE's columns, and a recursive CTE's own name
+    /// reads its working table. On [`SqlProfile::Duck`], every keyed step
+    /// over a stored relation gets its persistent index here, once.
     fn new(
         stmt: &'s SelectStmt,
         scope: &mut Database,
         names: &TableCatalog,
-        working: Option<&str>,
+        cte: Option<&Cte>,
         profile: SqlProfile,
     ) -> Result<Self> {
+        if let Some(cte) = cte.filter(|cte| cte.columns.len() != stmt.items.len()) {
+            return Err(RaqletError::execution(format!(
+                "a branch of CTE `{}` selects {} columns, but the CTE declares {}",
+                cte.name,
+                stmt.items.len(),
+                cte.columns.len()
+            )));
+        }
+        let working = cte.filter(|cte| cte.recursive).map(|cte| cte.name.as_str());
         let mut from: Vec<(&FromItem, Source)> = Vec::with_capacity(stmt.from.len());
         for item in &stmt.from {
             let source = match working {
@@ -417,10 +406,10 @@ impl<'s> SelectPlan<'s> {
         for (step, alias) in self.steps.iter().zip(&self.layout.aliases) {
             let (offset, arity) = (alias.offset, alias.columns.len());
             let relation = step.source.relation(scope);
-            let scan = match (relation, working) {
-                (Some(rel), _) => rel.full_cells().chunks_exact(rel.stride()),
-                (None, Some(work)) => work.delta_cells().chunks_exact(work.stride()),
-                (None, None) => [].chunks_exact(1),
+            let scan = match (&step.source, relation, working) {
+                (Source::Working, _, Some(work)) => work.delta_cells().chunks_exact(work.stride()),
+                (_, Some(rel), _) => rel.full_cells().chunks_exact(rel.stride()),
+                _ => [].chunks_exact(1),
             };
             // The probe choice, the only place the profiles differ.
             let index = match self.profile {
@@ -532,8 +521,9 @@ struct AliasColumns {
 }
 
 impl RowLayout {
-    /// Offset of `alias.column` within a fully joined row.
-    fn offset_of(&self, alias: &str, column: &str) -> Result<usize> {
+    /// The offset of `alias` within a joined row and the index of `column`
+    /// within the alias's own tuple.
+    fn locate(&self, alias: &str, column: &str) -> Result<(usize, usize)> {
         let a = self
             .aliases
             .iter()
@@ -543,20 +533,13 @@ impl RowLayout {
             a.columns.iter().position(|c| c == column).ok_or_else(|| {
                 RaqletError::execution(format!("unknown column `{alias}.{column}`"))
             })?;
-        Ok(a.offset + idx)
+        Ok((a.offset, idx))
     }
 
-    /// Index of `column` within the alias's own tuple.
-    fn local_index(&self, alias: &str, column: &str) -> Result<usize> {
-        let a = self
-            .aliases
-            .iter()
-            .find(|a| a.alias == alias)
-            .ok_or_else(|| RaqletError::execution(format!("unknown table alias `{alias}`")))?;
-        a.columns
-            .iter()
-            .position(|c| c == column)
-            .ok_or_else(|| RaqletError::execution(format!("unknown column `{alias}.{column}`")))
+    /// Offset of `alias.column` within a fully joined row.
+    fn offset_of(&self, alias: &str, column: &str) -> Result<usize> {
+        let (offset, idx) = self.locate(alias, column)?;
+        Ok(offset + idx)
     }
 }
 
@@ -621,9 +604,6 @@ fn greedy_join_order(
     predicates: &[SqlExpr],
     recursive_table: Option<&str>,
 ) -> Vec<usize> {
-    if tables.len() <= 1 {
-        return (0..tables.len()).collect();
-    }
     let mut order: Vec<usize> = Vec::with_capacity(tables.len());
     let mut remaining: Vec<usize> = (0..tables.len()).collect();
     if let Some(name) = recursive_table {
@@ -686,7 +666,7 @@ fn equi_join_keys(
 ) -> Result<Vec<(usize, usize)>> {
     equi_join_pairs(predicates, joined, new_alias)
         .map(|(left, right)| {
-            Ok((layout.offset_of(left.0, left.1)?, layout.local_index(right.0, right.1)?))
+            Ok((layout.offset_of(left.0, left.1)?, layout.locate(right.0, right.1)?.1))
         })
         .collect()
 }
