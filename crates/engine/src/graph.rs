@@ -974,6 +974,19 @@ mod tests {
         GraphEngine::new().execute(&pgir, graph).unwrap()
     }
 
+    fn try_run(src: &str, graph: &PropertyGraph) -> Result<GraphResult> {
+        let pgir = cypher_to_pgir(src, &LowerOptions::new())?;
+        GraphEngine::new().execute(&pgir, graph)
+    }
+
+    fn ints(rows: &[i64]) -> Vec<Vec<Value>> {
+        rows.iter().map(|&v| vec![Value::Int(v)]).collect()
+    }
+
+    fn int_pairs(rows: &[(i64, i64)]) -> Vec<Vec<Value>> {
+        rows.iter().map(|&(a, b)| vec![Value::Int(a), Value::Int(b)]).collect()
+    }
+
     #[test]
     fn overflowing_arithmetic_yields_null() {
         let mut g = PropertyGraph::new();
@@ -1202,5 +1215,136 @@ mod tests {
         // The failed inserts left the graph unchanged.
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 2);
+    }
+
+    // Filtering while matching must not change a row or an error. Every
+    // test below states what a MATCH followed by a WHERE returns; the
+    // answers are those of filtering after the whole MATCH.
+
+    #[test]
+    fn where_with_an_unbound_variable_errors_or_short_circuits_as_written() {
+        let g = sample_graph();
+        // `zz` is bound by nothing: the first conjunct errors on every row.
+        for src in [
+            "MATCH (n:Person) WHERE zz.id = 1 AND n.id = 1 RETURN n.id AS id",
+            // Even when the other conjunct would remove every row first.
+            "MATCH (n:Person) WHERE zz.id = 1 AND n.id = 99 RETURN n.id AS id",
+        ] {
+            let err = try_run(src, &g).unwrap_err();
+            assert!(err.to_string().contains("unknown variable `zz`"), "{src}: {err}");
+        }
+        // A false first conjunct short-circuits: no row, and no error.
+        let result =
+            try_run("MATCH (n:Person) WHERE n.id = -1 AND zz.id = 1 RETURN n.id AS id", &g)
+                .unwrap();
+        assert!(result.rows.is_empty());
+    }
+
+    #[test]
+    fn where_disjunction_across_two_pattern_variables() {
+        let g = sample_graph();
+        let result = run(
+            "MATCH (a:Person)-[:KNOWS]->(b:Person) WHERE a.id = 1 OR b.id = 3 \
+             RETURN a.id AS a, b.id AS b",
+            &g,
+        );
+        assert_eq!(result.rows.sorted(), int_pairs(&[(1, 2), (2, 3)]));
+    }
+
+    #[test]
+    fn where_on_a_missing_property_matches_nothing() {
+        let g = sample_graph();
+        for src in [
+            "MATCH (p:Person) WHERE p.nickname = 'Alice' RETURN p.id AS id",
+            "MATCH (p:Person)-[:KNOWS]->(q:Person) WHERE q.nickname = 2 RETURN p.id AS id",
+            "MATCH (p:Person)-[:KNOWS*]->(q:Person) WHERE p.nickname = 1 RETURN q.id AS id",
+        ] {
+            assert!(run(src, &g).rows.is_empty(), "{src}");
+        }
+    }
+
+    #[test]
+    fn where_on_an_edge_property() {
+        let g = sample_graph();
+        let result = run(
+            "MATCH (a:Person)-[k:KNOWS]->(b:Person) WHERE k.id = 11 RETURN a.id AS a, b.id AS b",
+            &g,
+        );
+        assert_eq!(result.rows.sorted(), int_pairs(&[(2, 3)]));
+    }
+
+    #[test]
+    fn where_binding_only_the_target_of_a_pattern() {
+        let g = sample_graph();
+        let hop = run("MATCH (a:Person)-[:KNOWS]->(b:Person) WHERE b.id = 3 RETURN a.id AS id", &g);
+        assert_eq!(hop.rows.sorted(), ints(&[2]));
+        let star =
+            run("MATCH (a:Person)-[:KNOWS*]->(b:Person) WHERE b.id = 3 RETURN a.id AS id", &g);
+        assert_eq!(star.rows.sorted(), ints(&[1, 2]));
+    }
+
+    #[test]
+    fn where_on_the_far_node_of_a_second_pattern() {
+        // The CQ2 shape: the second pattern shares `f` with the first, and
+        // the conjunct reads only the second pattern's other node.
+        let g = sample_graph();
+        let result = run(
+            "MATCH (p:Person)-[:KNOWS]-(f:Person), (f)-[:IS_LOCATED_IN]->(c:City) \
+             WHERE c.name = 'Glasgow' RETURN p.id AS p, f.id AS f",
+            &g,
+        );
+        assert_eq!(result.rows.sorted(), int_pairs(&[(1, 2), (2, 3), (3, 2)]));
+    }
+
+    #[test]
+    fn where_on_a_with_scalar_or_a_path_length() {
+        let g = sample_graph();
+        let scalar = run(
+            "MATCH (a:Person) WITH a, a.id AS k \
+             MATCH (a)-[:KNOWS]->(b:Person) WHERE k = 1 RETURN b.id AS id",
+            &g,
+        );
+        assert_eq!(scalar.rows.sorted(), ints(&[2]));
+        let length = run(
+            "MATCH p = shortestPath((a:Person)-[:KNOWS*]->(b:Person)) \
+             WHERE a.id = 1 AND p >= 2 RETURN b.id AS id",
+            &g,
+        );
+        assert_eq!(length.rows.sorted(), ints(&[3]));
+    }
+
+    #[test]
+    fn where_pins_both_ends_of_a_shortest_path() {
+        let g = sample_graph();
+        let result = run(
+            "MATCH p = shortestPath((a:Person)-[:KNOWS*]-(b:Person)) \
+             WHERE a.id = 1 AND b.id = 3 RETURN b.id AS id, p AS len",
+            &g,
+        );
+        assert_eq!(result.rows.sorted(), int_pairs(&[(3, 2)]));
+    }
+
+    #[test]
+    fn where_pinned_zero_hop_source_is_reached() {
+        let g = sample_graph();
+        let result =
+            run("MATCH (a:Person)-[:KNOWS*0..]->(b:Person) WHERE a.id = 2 RETURN b.id AS id", &g);
+        assert_eq!(result.rows.sorted(), ints(&[2, 3]));
+    }
+
+    #[test]
+    fn tuple_budget_still_trips_on_an_unfiltered_match() {
+        let g = sample_graph();
+        let pgir = cypher_to_pgir(
+            "MATCH (a:Person)-[:KNOWS*0..]-(b:Person) RETURN a.id AS a, b.id AS b",
+            &LowerOptions::new(),
+        )
+        .unwrap();
+        let err = GraphEngine::new()
+            .execute_guarded(&pgir, &g, &QueryGuard::new().with_tuple_budget(5))
+            .unwrap_err();
+        assert!(matches!(err, RaqletError::BudgetExceeded { resource: "tuples", .. }), "{err}");
+        let plain = GraphEngine::new().execute(&pgir, &g).unwrap();
+        assert_eq!(plain.rows.len(), 9);
     }
 }

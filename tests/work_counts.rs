@@ -9,12 +9,17 @@
 //! the golden file only if the change in work is intended.
 //!
 //! Rows so far: every corpus query on SQL-sim (both profiles) at
-//! `OptLevel::None` and `OptLevel::Full`.
+//! `OptLevel::None` and `OptLevel::Full`, and every corpus query on the
+//! graph engine (which runs PGIR, so the optimization level does not
+//! apply).
 
 use std::fmt::Write;
 
-use raqlet::{CompileOptions, OptLevel, Raqlet, SqlEngine, SqlProfile, TableCatalog};
-use raqlet_ldbc::{generate, to_database, GeneratorConfig, ALL_QUERIES, SNB_PG_SCHEMA};
+use raqlet::{CompileOptions, GraphEngine, OptLevel, Raqlet, SqlEngine, SqlProfile, TableCatalog};
+use raqlet_ldbc::{
+    generate, to_database, to_property_graph, GeneratorConfig, SocialNetwork, ALL_QUERIES,
+    SNB_PG_SCHEMA,
+};
 
 /// The seeded SNB every row runs against: small enough that the whole file
 /// costs well under two seconds in a debug build.
@@ -23,21 +28,14 @@ const SNB: GeneratorConfig = GeneratorConfig { scale: 0.1, seed: 42 };
 /// One line per corpus query x SQL profile x optimization level: the
 /// `SqlStats` of the run and the result's row count, or the error text if
 /// the query does not compile for or run on SQL-sim.
-fn sql_work_counts() -> String {
-    let network = generate(&SNB);
-    let db = to_database(&network);
-    let person = network.sample_person();
-    let other = &network.persons[1];
+fn sql_work_counts(network: &SocialNetwork) -> String {
+    let db = to_database(network);
     let raqlet = Raqlet::from_pg_schema(SNB_PG_SCHEMA).unwrap();
 
     let mut out = String::new();
     for query in ALL_QUERIES {
         for level in [OptLevel::None, OptLevel::Full] {
-            let options = CompileOptions::new(level)
-                .with_param("personId", person)
-                .with_param("otherId", other.id)
-                .with_param("maxDate", 20_200_101i64)
-                .with_param("firstName", other.first_name.as_str());
+            let options = corpus_options(network, level);
             for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
                 let outcome = raqlet.compile(query.cypher, &options).and_then(|compiled| {
                     let catalog = TableCatalog::from_schema(&compiled.dlir_for_sql().schema);
@@ -66,9 +64,47 @@ fn sql_work_counts() -> String {
     out
 }
 
+/// The corpus bindings every row uses.
+fn corpus_options(network: &SocialNetwork, level: OptLevel) -> CompileOptions {
+    let other = &network.persons[1];
+    CompileOptions::new(level)
+        .with_param("personId", network.sample_person())
+        .with_param("otherId", other.id)
+        .with_param("maxDate", 20_200_101i64)
+        .with_param("firstName", other.first_name.as_str())
+}
+
+/// One line per corpus query on the graph engine: the `GraphStats` of the
+/// run and the result's row count, or the error text.
+fn graph_work_counts(network: &SocialNetwork) -> String {
+    let graph = to_property_graph(network);
+    let raqlet = Raqlet::from_pg_schema(SNB_PG_SCHEMA).unwrap();
+
+    let mut out = String::new();
+    for query in ALL_QUERIES {
+        let outcome = raqlet
+            .compile(query.cypher, &corpus_options(network, OptLevel::None))
+            .and_then(|compiled| GraphEngine::new().execute(&compiled.pgir, &graph));
+        let label = format!("{} graph", query.name);
+        match outcome {
+            Ok(result) => writeln!(
+                out,
+                "{label}: expansions={} intermediate_rows={} rows={}",
+                result.stats.expansions,
+                result.stats.intermediate_rows,
+                result.rows.len()
+            ),
+            Err(e) => writeln!(out, "{label}: error: {e}"),
+        }
+        .unwrap();
+    }
+    out
+}
+
 #[test]
 fn work_counts_match_the_golden_file() {
-    let actual = sql_work_counts();
+    let network = generate(&SNB);
+    let actual = sql_work_counts(&network) + &graph_work_counts(&network);
     let expected = include_str!("golden/work_counts.txt");
     if actual != expected {
         let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("work_counts.txt");
