@@ -58,6 +58,16 @@ pub enum RaqletError {
     Optimization(String),
     /// Execution of a query against one of the built-in engines failed.
     Execution(String),
+    /// A depth-bounded recursive SQL CTE (a shortest-path helper) would
+    /// derive rows for a new group one round past its bound: the `MIN` taken
+    /// over the bounded rows would silently miss that group, so the engine
+    /// refuses instead of truncating.
+    RecursionDepthExceeded {
+        /// The bounded recursive CTE.
+        cte: String,
+        /// The `SqlLowerOptions::max_recursion_depth` it was lowered with.
+        max_depth: i64,
+    },
     /// Schema violation (duplicate relation, arity mismatch, ...).
     Schema(String),
     /// A filesystem operation performed by the durability layer failed.
@@ -271,6 +281,12 @@ impl fmt::Display for RaqletError {
             }
             RaqletError::Optimization(m) => write!(f, "optimization error: {m}"),
             RaqletError::Execution(m) => write!(f, "execution error: {m}"),
+            RaqletError::RecursionDepthExceeded { cte, max_depth } => write!(
+                f,
+                "recursive CTE `{cte}` derives a new group past max_recursion_depth = \
+                 {max_depth}: its shortest paths would be truncated; raise \
+                 SqlLowerOptions::max_recursion_depth above the graph's diameter"
+            ),
             RaqletError::Schema(m) => write!(f, "schema error: {m}"),
             RaqletError::Io { op, path, message } => {
                 write!(f, "i/o error: {op} on `{path}`: {message}")

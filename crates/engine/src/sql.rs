@@ -42,12 +42,12 @@ use std::collections::HashMap;
 
 use raqlet_common::cell::{is_tombstone, Cell, ValueDict, NULL_CELL};
 use raqlet_common::guard::{CheckPoint, QueryGuard};
-use raqlet_common::hash::FxHashMap;
+use raqlet_common::hash::{FxHashMap, FxHashSet};
 use raqlet_common::schema::DlSchema;
 use raqlet_common::{Database, RaqletError, Relation, Result, Value};
 use raqlet_dlir::ArithOp;
 use raqlet_sqir::{
-    Cte, FromItem, SelectStmt, SqirQuery, SqlAggFunc, SqlArithOp, SqlCmpOp, SqlExpr,
+    Cte, DepthBound, FromItem, SelectStmt, SqirQuery, SqlAggFunc, SqlArithOp, SqlCmpOp, SqlExpr,
 };
 
 /// Execution profile: how a keyed join step finds its candidate rows.
@@ -226,11 +226,22 @@ impl SqlEngine {
 
         // The recursive branches are planned once: the base tables, their
         // pushed-down filters, the join order and the keys are the same
-        // every round; only the working table changes.
+        // every round; only the working table changes. A lattice helper's
+        // branches are planned without their depth-bound conjunct, which
+        // `DepthCut` applies to the projected rows instead.
+        let unbounded: Vec<SelectStmt>;
+        let recursive = match cte.depth_bound {
+            Some(bound) => {
+                unbounded = recursive.iter().map(|&branch| bound.strip(branch)).collect();
+                unbounded.iter().collect()
+            }
+            None => recursive,
+        };
         let plans: Vec<SelectPlan> = recursive
             .into_iter()
             .map(|branch| SelectPlan::new(branch, scope, names, Some(cte), self.profile))
             .collect::<Result<_>>()?;
+        let mut cut = cte.depth_bound.map(DepthCut::new);
         all.seed_delta_from_full();
         while !all.delta_is_empty() {
             guard.checkpoint(CheckPoint::FixpointRound)?;
@@ -240,13 +251,71 @@ impl SqlEngine {
             stats.recursive_iterations += 1;
             for plan in &plans {
                 let joined = plan.join(scope, names, Some(&all), stats)?;
-                plan.project(&joined, scope, names, |tuple| {
-                    all.stage_cells(tuple);
+                plan.project(&joined, scope, names, |tuple| match &mut cut {
+                    Some(cut) if !cut.admits(tuple, scope.dict()) => cut.record(tuple),
+                    _ => {
+                        all.stage_cells(tuple);
+                    }
                 })?;
             }
             guard.add_tuples(all.advance());
         }
-        Ok(all)
+        match cut {
+            Some(cut) => cut.check(cte, &all).map(|()| all),
+            None => Ok(all),
+        }
+    }
+}
+
+/// The depth bound of a lattice helper CTE, applied to projected rows. A
+/// row past the bound is the next round's, one past the cut: it is not
+/// stored, but its group (every column except the length) is remembered.
+/// When the fixpoint ends, a remembered group the stored rows never reached
+/// means the `MIN` fold would silently miss it, and the CTE is refused.
+struct DepthCut {
+    bound: DepthBound,
+    /// The groups of rows past the bound.
+    past: FxHashSet<Vec<Cell>>,
+}
+
+impl DepthCut {
+    fn new(bound: DepthBound) -> Self {
+        DepthCut { bound, past: FxHashSet::default() }
+    }
+
+    /// The bound conjunct on the projected row: its length `<= max_depth`.
+    fn admits(&self, tuple: &[Cell], dict: &ValueDict) -> bool {
+        let length = dict.decode(tuple[self.bound.column]);
+        eval_cmp(SqlCmpOp::Le, &length, &Value::Int(self.bound.max_depth))
+    }
+
+    fn group(&self, row: &[Cell]) -> Vec<Cell> {
+        let column = self.bound.column;
+        row.iter().enumerate().filter(|&(i, _)| i != column).map(|(_, &c)| c).collect()
+    }
+
+    fn record(&mut self, tuple: &[Cell]) {
+        let group = self.group(tuple);
+        self.past.insert(group);
+    }
+
+    fn check(&self, cte: &Cte, all: &Relation) -> Result<()> {
+        if self.past.is_empty() {
+            return Ok(());
+        }
+        let reached: FxHashSet<Vec<Cell>> = all
+            .full_cells()
+            .chunks_exact(all.stride())
+            .filter(|row| !is_tombstone(row[0]))
+            .map(|row| self.group(&row[..all.arity()]))
+            .collect();
+        if self.past.iter().all(|group| reached.contains(group)) {
+            return Ok(());
+        }
+        Err(RaqletError::RecursionDepthExceeded {
+            cte: cte.name.clone(),
+            max_depth: self.bound.max_depth,
+        })
     }
 }
 
@@ -886,6 +955,62 @@ mod tests {
     }
 
     #[test]
+    fn shortest_paths_past_the_depth_bound_are_refused_not_truncated() {
+        use raqlet_dlir::{ArithOp, LatticeMerge};
+        // dist(s, d, l): lengths over a 6-edge chain, folded to MIN per (s, d).
+        let mut p = edge_program();
+        p.schema
+            .add(RelationDecl::new(
+                "dist",
+                vec![
+                    Column::new("s", ValueType::Int),
+                    Column::new("d", ValueType::Int),
+                    Column::new("l", ValueType::Int),
+                ],
+                RelationKind::Idb,
+            ))
+            .unwrap();
+        p.add_rule(Rule::new(
+            Atom::with_vars("dist", &["s", "d", "l"]),
+            vec![atom("edge", &["s", "d"]), BodyElem::eq(DlExpr::var("l"), DlExpr::int(1))],
+        ));
+        let next = DlExpr::Arith {
+            op: ArithOp::Add,
+            lhs: Box::new(DlExpr::var("l0")),
+            rhs: Box::new(DlExpr::int(1)),
+        };
+        p.add_rule(Rule::new(
+            Atom::with_vars("dist", &["s", "d", "l"]),
+            vec![
+                atom("dist", &["s", "m", "l0"]),
+                atom("edge", &["m", "d"]),
+                BodyElem::eq(DlExpr::var("l"), next),
+            ],
+        ));
+        p.set_lattice("dist", LatticeMerge::MinOnColumn(2));
+        p.add_output("dist");
+        let db = chain_db(6);
+        let catalog = TableCatalog::from_schema(&p.schema);
+        for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
+            let engine = SqlEngine { profile };
+            // The longest shortest path is 6 hops: a bound of 5 would drop
+            // (0, 6), so the engine refuses.
+            let options = SqlLowerOptions { max_recursion_depth: 5 };
+            let err = engine
+                .execute(&lower_to_sqir(&p, "dist", &options).unwrap(), &db, &catalog)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                RaqletError::RecursionDepthExceeded { cte: "dist__all".into(), max_depth: 5 }
+            );
+            // A bound at the diameter is exact.
+            let options = SqlLowerOptions { max_recursion_depth: 6 };
+            let sqir = lower_to_sqir(&p, "dist", &options).unwrap();
+            assert_eq!(engine.execute(&sqir, &db, &catalog).unwrap().rows.len(), 21);
+        }
+    }
+
+    #[test]
     fn duck_and_hyper_profiles_agree() {
         let mut p = edge_program();
         p.add_rule(Rule::new(Atom::with_vars("tc", &["x", "y"]), vec![atom("edge", &["x", "y"])]));
@@ -1124,6 +1249,7 @@ mod tests {
             columns: vec!["x".into(), "y".into()],
             recursive: false,
             branches: vec![select(&pair, &[("edge", "e")], Vec::new()), narrow],
+            depth_bound: None,
         };
         let step = select(
             &[(col("e", "dst"), "x")],
@@ -1135,6 +1261,7 @@ mod tests {
             columns: vec!["x".into(), "y".into()],
             recursive: true,
             branches: vec![select(&pair, &[("edge", "e")], Vec::new()), step],
+            depth_bound: None,
         };
         let db = chain_db(4);
         for cte in [plain, recursive] {
@@ -1181,6 +1308,7 @@ mod tests {
                     ],
                 ),
             ],
+            depth_bound: None,
         };
         let query = SqirQuery {
             final_select: select(

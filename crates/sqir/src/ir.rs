@@ -246,6 +246,43 @@ pub struct Cte {
     /// The UNION branches. For recursive CTEs the non-recursive branches come
     /// first (the SQL standard's requirement).
     pub branches: Vec<SelectStmt>,
+    /// The depth bound of a lattice helper CTE (`<name>__all`), whose
+    /// recursive branches carry [`DepthBound::conjunct`]; `None` for every
+    /// other CTE.
+    pub depth_bound: Option<DepthBound>,
+}
+
+/// Where a lattice helper CTE cuts its recursion: its recursive branches
+/// keep only rows whose length column is at most `max_depth`. The cut is
+/// exact only while no shortest path is longer than `max_depth`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DepthBound {
+    /// The length column (the one the `MIN` fold aggregates).
+    pub column: usize,
+    /// `SqlLowerOptions::max_recursion_depth` at lowering time.
+    pub max_depth: i64,
+}
+
+impl DepthBound {
+    /// The WHERE conjunct that enforces the bound on a recursive branch: the
+    /// branch's projected length `<= max_depth`.
+    pub fn conjunct(&self, branch: &SelectStmt) -> Option<SqlExpr> {
+        let item = branch.items.get(self.column)?;
+        Some(SqlExpr::Cmp {
+            op: SqlCmpOp::Le,
+            lhs: Box::new(item.expr.clone()),
+            rhs: Box::new(SqlExpr::int(self.max_depth)),
+        })
+    }
+
+    /// `branch` without the conjunct [`DepthBound::conjunct`] added, for an
+    /// engine that applies the bound itself.
+    pub fn strip(&self, branch: &SelectStmt) -> SelectStmt {
+        let cut = self.conjunct(branch);
+        let mut branch = branch.clone();
+        branch.where_conjuncts.retain(|c| Some(c) != cut.as_ref());
+        branch
+    }
 }
 
 impl Cte {
@@ -331,6 +368,7 @@ mod tests {
             columns: vec!["x".into()],
             recursive: true,
             branches: vec![base.clone(), rec.clone()],
+            depth_bound: None,
         };
         assert_eq!(cte.base_branches(), vec![&base]);
         assert_eq!(cte.recursive_branches(), vec![&rec]);

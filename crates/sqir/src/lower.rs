@@ -18,7 +18,11 @@
 //!   lowering materialises all path lengths up to a configurable depth bound
 //!   in a helper recursive CTE `<name>__all` and then takes the per-group
 //!   `MIN` in the CTE named `<name>`. The depth bound preserves results
-//!   whenever it is at least the graph's diameter (documented in DESIGN.md).
+//!   whenever it is at least the longest shortest path; the helper records
+//!   it as [`Cte::depth_bound`], SQL-sim runs one round past it and refuses
+//!   with `RaqletError::RecursionDepthExceeded` when that round reaches a
+//!   group the bounded rows missed, and the emitted SQL states the
+//!   assumption in a comment.
 //! * **Backend limits** — mutual recursion and non-linear recursion cannot be
 //!   expressed with `WITH RECURSIVE`; the lowering rejects them with a
 //!   `BackendRejected` error, mirroring the paper's static analysis story.
@@ -154,6 +158,8 @@ impl<'a> Lowering<'a> {
     ) -> Result<Cte> {
         let columns = self.columns_of(relation)?;
         let rules = self.program.rules_for(relation);
+        let depth_bound = lattice_col
+            .map(|column| DepthBound { column, max_depth: self.options.max_recursion_depth });
         let mut branches = Vec::new();
 
         // SQL requires base branches before recursive ones.
@@ -172,33 +178,14 @@ impl<'a> Lowering<'a> {
             let mut branch = self.lower_rule(rule, &columns, relation, cte_name)?;
             // Unbounded lattice recursion gets the configured depth bound on
             // its recursive branches.
-            if let Some(col) = lattice_col {
-                if self_refs > 0 {
-                    let len_col = &columns[col];
-                    branch.where_conjuncts.push(SqlExpr::Cmp {
-                        op: SqlCmpOp::Le,
-                        lhs: Box::new(SqlExpr::col("NEW", len_col)),
-                        rhs: Box::new(SqlExpr::int(self.options.max_recursion_depth)),
-                    });
-                    // The bound references the *projected* length; rewrite it
-                    // to the underlying expression instead of an alias.
-                    // Invariant: a conjunct was pushed just above, so
-                    // `last_mut` cannot be empty.
-                    #[allow(clippy::unwrap_used)]
-                    if let Some(item) = branch.items.get(col) {
-                        let expr = item.expr.clone();
-                        let last = branch.where_conjuncts.last_mut().unwrap();
-                        *last = SqlExpr::Cmp {
-                            op: SqlCmpOp::Le,
-                            lhs: Box::new(expr),
-                            rhs: Box::new(SqlExpr::int(self.options.max_recursion_depth)),
-                        };
-                    }
-                }
+            if let Some(cut) =
+                depth_bound.filter(|_| self_refs > 0).and_then(|b| b.conjunct(&branch))
+            {
+                branch.where_conjuncts.push(cut);
             }
             branches.push(branch);
         }
-        Ok(Cte { name: cte_name.to_string(), columns, recursive, branches })
+        Ok(Cte { name: cte_name.to_string(), columns, recursive, branches, depth_bound })
     }
 
     /// The `MIN`-fold CTE for a lattice relation:
@@ -233,6 +220,7 @@ impl<'a> Lowering<'a> {
                 where_conjuncts: Vec::new(),
                 group_by,
             }],
+            depth_bound: None,
         })
     }
 
@@ -723,13 +711,19 @@ mod tests {
         // The helper CTE is the recursive one and carries the depth bound.
         let all = q.cte("dist__all").unwrap();
         assert!(all.recursive);
+        assert_eq!(all.depth_bound, Some(DepthBound { column: 2, max_depth: 30 }));
         assert!(all.recursive_branches()[0]
             .where_conjuncts
             .iter()
             .any(|c| c.to_string().contains("<= 30")));
+        assert!(all.base_branches()[0]
+            .where_conjuncts
+            .iter()
+            .all(|c| !c.to_string().contains("<= 30")));
         // The fold CTE takes MIN(l) grouped by (s, d).
         let fold = q.cte("dist").unwrap();
         assert!(!fold.recursive);
+        assert_eq!(fold.depth_bound, None);
         assert!(fold.branches[0].items[2].expr.to_string().contains("MIN"));
         assert_eq!(fold.branches[0].group_by.len(), 2);
     }

@@ -62,7 +62,19 @@ fn cte_to_sql(cte: &Cte, dialect: SqlDialect) -> String {
     let branches: Vec<String> = cte.branches.iter().map(|b| select_to_sql(b, dialect, 1)).collect();
     // UNION (distinct) keeps set semantics between branches and is what makes
     // the recursive fixpoint terminate.
-    let body = branches.join("\n  UNION\n");
+    let mut body = branches.join("\n  UNION\n");
+    if let Some(bound) = cte.depth_bound {
+        // SQL has no subsumption: the shortest-path helper enumerates lengths
+        // up to the bound, which is exact only below it.
+        body.insert_str(
+            0,
+            &format!(
+                "  -- path lengths are cut at max_recursion_depth = {}: exact only while \
+                 every shortest path is at most {} hops long\n",
+                bound.max_depth, bound.max_depth
+            ),
+        );
+    }
     format!("{} ({}) AS (\n{}\n)", cte.name, cols, body)
 }
 
