@@ -31,20 +31,20 @@ use raqlet_common::schema::normalize_label;
 use raqlet_common::{RaqletError, Relation, Result, Value};
 use raqlet_dlir::ArithOp as DlArithOp;
 use raqlet_pgir::{
-    AggFunc, ArithOp, ChainPat, CmpOp, MatchConstruct, NodePat, OutputItem, PatternElem,
-    PgirClause, PgirExpr, PgirQuery,
+    AggFunc, ArithOp, CmpOp, EdgePat, MatchConstruct, NodePat, OutputItem, PatternElem, PgirClause,
+    PgirExpr, PgirQuery,
 };
 
-/// A stored node: its label id and where its properties start in
-/// [`PropertyGraph::node_props`] (they run up to the next node's start).
+/// A stored node: its label id and where its properties start in the node
+/// property arena (they run up to the next node's start).
 #[derive(Debug, Clone, Copy)]
 struct NodeRecord {
     label: u32,
     props: u32,
 }
 
-/// A stored edge: label id, endpoints, and where its properties start in
-/// [`PropertyGraph::edge_props`].
+/// A stored edge: label id, endpoints, and where its properties start in the
+/// edge property arena.
 #[derive(Debug, Clone, Copy)]
 struct EdgeRecord {
     label: u32,
@@ -142,7 +142,7 @@ impl PropertyGraph {
         let label = self.node_labels.intern("node", label)?;
         let idx = self.nodes.len();
         let node = small_id(idx)?;
-        let props = self.intern_props(Arena::Node, properties)?;
+        let props = push_props(&mut self.keys, &mut self.node_props, properties)?;
         self.nodes.push(NodeRecord { label, props });
         if self.by_label.len() <= label as usize {
             self.by_label.resize_with(label as usize + 1, Vec::new);
@@ -174,38 +174,11 @@ impl PropertyGraph {
         let label = self.edge_labels.intern("edge", label)?;
         let idx = self.edges.len();
         let edge = small_id(idx)?;
-        let props = self.intern_props(Arena::Edge, properties)?;
+        let props = push_props(&mut self.keys, &mut self.edge_props, properties)?;
         self.edges.push(EdgeRecord { label, src: src as u32, dst: dst as u32, props });
         self.outgoing[src].push((label, edge));
         self.incoming[dst].push((label, edge));
         Ok(idx)
-    }
-
-    /// Append `properties` to an arena, returning where they start. A key
-    /// given twice keeps its last value.
-    fn intern_props(&mut self, arena: Arena, properties: Vec<(&str, Value)>) -> Result<u32> {
-        let start = match arena {
-            Arena::Node => self.node_props.len(),
-            Arena::Edge => self.edge_props.len(),
-        };
-        for (key, value) in properties {
-            let key = match self.keys.iter().position(|k| k == key) {
-                Some(id) => small_id(id)?,
-                None => {
-                    self.keys.push(key.to_string());
-                    small_id(self.keys.len() - 1)?
-                }
-            };
-            let props = match arena {
-                Arena::Node => &mut self.node_props,
-                Arena::Edge => &mut self.edge_props,
-            };
-            match props[start..].iter_mut().find(|(k, _)| *k == key) {
-                Some(slot) => slot.1 = value,
-                None => props.push((key, value)),
-            }
-        }
-        small_id(start)
     }
 
     /// Number of nodes.
@@ -304,11 +277,28 @@ impl PropertyGraph {
     }
 }
 
-/// Which property arena [`PropertyGraph::intern_props`] appends to.
-#[derive(Debug, Clone, Copy)]
-enum Arena {
-    Node,
-    Edge,
+/// Append `properties` to an arena, interning their keys, and return where
+/// they start. A key given twice keeps its last value.
+fn push_props(
+    keys: &mut Vec<String>,
+    arena: &mut Vec<(u32, Value)>,
+    properties: Vec<(&str, Value)>,
+) -> Result<u32> {
+    let start = arena.len();
+    for (key, value) in properties {
+        let key = match keys.iter().position(|k| k == key) {
+            Some(id) => small_id(id)?,
+            None => {
+                keys.push(key.to_string());
+                small_id(keys.len() - 1)?
+            }
+        };
+        match arena[start..].iter_mut().find(|(k, _)| *k == key) {
+            Some(slot) => slot.1 = value,
+            None => arena.push((key, value)),
+        }
+    }
+    small_id(start)
 }
 
 /// A pattern's node label, resolved once per pattern.
@@ -747,220 +737,201 @@ impl GraphEngine {
         stats: &mut GraphStats,
         guard: &QueryGuard,
     ) -> Result<Vec<Row>> {
+        // A path pattern is one traversal segment; a multi-hop
+        // shortestPath chain is one per step.
+        let (src, dst, var, segments) = match pattern {
+            PatternElem::Node(n) => return self.expand_node(n, graph, rows, f, stats, guard),
+            PatternElem::Edge(e) => return self.expand_edge(e, graph, rows, f, stats, guard),
+            PatternElem::Path(p) => {
+                let segment = Segment {
+                    // Incoming single-segment paths are normalised to forward
+                    // direction by the PGIR lowering (endpoints swapped), so
+                    // hops always read forward here.
+                    hop: Hop::new(graph, &p.labels, p.directed, true),
+                    min_hops: p.min_hops,
+                    max_hops: p.max_hops,
+                    end: &p.dst,
+                    end_label: NodeLabel::Any,
+                };
+                (&p.src, &p.dst, &p.var, vec![segment])
+            }
+            PatternElem::Chain(c) => {
+                let segments = c
+                    .steps
+                    .iter()
+                    .map(|s| Segment {
+                        hop: Hop::new(graph, &s.labels, s.directed, s.forward),
+                        min_hops: s.min_hops,
+                        max_hops: s.max_hops,
+                        end: &s.node,
+                        end_label: graph.node_label(s.node.label.as_deref()),
+                    })
+                    .collect();
+                (&c.src, c.dst(), &c.var, segments)
+            }
+        };
+        let dst_label = graph.node_label(dst.label.as_deref());
+        let mut bfs = Bfs::new(graph.node_count());
+        let mut seeds: Option<Vec<usize>> = None;
         let mut out = Vec::new();
-        match pattern {
-            PatternElem::Node(n) => {
-                let label = graph.node_label(n.label.as_deref());
-                let mut seeds: Option<Vec<usize>> = None;
-                for row in rows {
-                    guard.checkpoint(CheckPoint::GraphStep)?;
-                    stats.expansions += 1;
-                    match row.get(&n.var) {
-                        Some(Binding::Node(idx)) => {
-                            if graph.has_label(*idx, label) && f.keeps(&row, graph)? {
-                                out.push(row);
-                            }
-                        }
-                        Some(_) => {
-                            return Err(RaqletError::semantic(format!(
-                                "variable `{}` is not a node",
-                                n.var
-                            )))
-                        }
-                        None => {
-                            for &idx in seeds_of(&mut seeds, n, f, graph)? {
-                                let mut r = row.clone();
-                                r.insert(n.var.clone(), Binding::Node(idx));
-                                if f.keeps(&r, graph)? {
-                                    out.push(r);
-                                }
-                            }
-                        }
+        for row in rows {
+            guard.checkpoint(CheckPoint::GraphStep)?;
+            stats.expansions += 1;
+            let single;
+            let sources: &[usize] = match bound_node(&row, &src.var) {
+                Some(i) => {
+                    single = [i];
+                    &single
+                }
+                None => seeds_of(&mut seeds, src, f, graph)?,
+            };
+            let target = bound_node(&row, &dst.var);
+            for &source in sources {
+                for (node, dist) in traverse(graph, source, &segments, &row, &mut bfs) {
+                    if target.is_some_and(|t| t != node) || !graph.has_label(node, dst_label) {
+                        continue;
+                    }
+                    if target.is_none() && !f.admits(&dst.var, node, graph)? {
+                        continue;
+                    }
+                    let mut r = row.clone();
+                    r.insert(src.var.clone(), Binding::Node(source));
+                    r.insert(dst.var.clone(), Binding::Node(node));
+                    r.insert(var.clone(), Binding::Scalar(Value::Int(dist as i64)));
+                    if f.keeps(&r, graph)? {
+                        out.push(r);
                     }
                 }
             }
-            PatternElem::Edge(e) => {
-                let labels = graph.edge_label_set(&e.labels);
-                let src_label = graph.node_label(e.src.label.as_deref());
-                let dst_label = graph.node_label(e.dst.label.as_deref());
-                // With both ends unbound, a filtered end is seeded from its
-                // label scan; otherwise every edge is a candidate.
-                let seed_src = !f.node_only(&e.src.var).is_empty();
-                let seed_dst = !seed_src && !f.node_only(&e.dst.var).is_empty();
-                let mut seeds: Option<Vec<usize>> = None;
-                for row in rows {
-                    guard.checkpoint(CheckPoint::GraphStep)?;
-                    stats.expansions += 1;
-                    let src_bound = match row.get(&e.src.var) {
-                        Some(Binding::Node(i)) => Some(*i),
-                        _ => None,
-                    };
-                    let dst_bound = match row.get(&e.dst.var) {
-                        Some(Binding::Node(i)) => Some(*i),
-                        _ => None,
-                    };
-                    // (edge, orientation) candidates: a bound end reads its
-                    // adjacency in both orientations and keeps those that
-                    // put it in place; a seeded end reads only the
-                    // orientation that puts it in place, as a scan of every
-                    // edge would.
-                    let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
-                    let mut both_ways = |edge: usize| {
-                        let (a, b) = graph.endpoints(edge);
-                        candidates.push((edge, a, b));
-                        if !e.directed {
-                            candidates.push((edge, b, a));
-                        }
-                    };
-                    if let Some(s) = src_bound {
-                        graph.edges_of(s, Dir::Out, &labels).for_each(&mut both_ways);
-                        if !e.directed {
-                            graph.edges_of(s, Dir::In, &labels).for_each(&mut both_ways);
-                        }
-                    } else if let Some(d) = dst_bound {
-                        graph.edges_of(d, Dir::In, &labels).for_each(&mut both_ways);
-                        if !e.directed {
-                            graph.edges_of(d, Dir::Out, &labels).for_each(&mut both_ways);
-                        }
-                    } else if seed_src || seed_dst {
-                        let end = if seed_src { &e.src } else { &e.dst };
-                        let (first, second) =
-                            if seed_src { (Dir::Out, Dir::In) } else { (Dir::In, Dir::Out) };
-                        for &node in seeds_of(&mut seeds, end, f, graph)? {
-                            for edge in graph.edges_of(node, first, &labels) {
-                                let (a, b) = graph.endpoints(edge);
-                                candidates.push((edge, a, b));
-                            }
-                            if !e.directed {
-                                for edge in graph.edges_of(node, second, &labels) {
-                                    let (a, b) = graph.endpoints(edge);
-                                    candidates.push((edge, b, a));
-                                }
-                            }
-                        }
-                    } else {
-                        graph.edges_labelled(&labels).for_each(&mut both_ways);
+        }
+        Ok(out)
+    }
+
+    fn expand_node(
+        &self,
+        n: &NodePat,
+        graph: &PropertyGraph,
+        rows: Vec<Row>,
+        f: &mut Filters<'_>,
+        stats: &mut GraphStats,
+        guard: &QueryGuard,
+    ) -> Result<Vec<Row>> {
+        let mut out = Vec::new();
+        let label = graph.node_label(n.label.as_deref());
+        let mut seeds: Option<Vec<usize>> = None;
+        for row in rows {
+            guard.checkpoint(CheckPoint::GraphStep)?;
+            stats.expansions += 1;
+            match row.get(&n.var) {
+                Some(Binding::Node(idx)) => {
+                    if graph.has_label(*idx, label) && f.keeps(&row, graph)? {
+                        out.push(row);
                     }
-                    for (edge, s, d) in candidates {
-                        if src_bound.is_some_and(|b| b != s) || dst_bound.is_some_and(|b| b != d) {
-                            continue;
-                        }
-                        if !graph.has_label(s, src_label) || !graph.has_label(d, dst_label) {
-                            continue;
-                        }
-                        if src_bound.is_none() && !f.admits(&e.src.var, s, graph)? {
-                            continue;
-                        }
-                        if dst_bound.is_none() && !f.admits(&e.dst.var, d, graph)? {
-                            continue;
-                        }
+                }
+                Some(_) => {
+                    return Err(RaqletError::semantic(format!(
+                        "variable `{}` is not a node",
+                        n.var
+                    )))
+                }
+                None => {
+                    for &idx in seeds_of(&mut seeds, n, f, graph)? {
                         let mut r = row.clone();
-                        r.insert(e.src.var.clone(), Binding::Node(s));
-                        r.insert(e.dst.var.clone(), Binding::Node(d));
-                        r.insert(e.var.clone(), Binding::Edge(edge));
+                        r.insert(n.var.clone(), Binding::Node(idx));
                         if f.keeps(&r, graph)? {
                             out.push(r);
                         }
                     }
                 }
             }
-            PatternElem::Path(p) => {
-                // Incoming single-segment paths are normalised to forward
-                // direction by the PGIR lowering (endpoints swapped), so hops
-                // always read forward here. BFS yields minimal distances, so
-                // for shortest-path semantics every surviving (node, d) pair
-                // is a shortest path; for plain reachability the distance is
-                // informational only.
-                let hop = Hop::new(graph, &p.labels, p.directed, true);
-                let dst_label = graph.node_label(p.dst.label.as_deref());
-                let mut bfs = Bfs::new(graph.node_count());
-                let mut seeds: Option<Vec<usize>> = None;
-                for row in rows {
-                    guard.checkpoint(CheckPoint::GraphStep)?;
-                    stats.expansions += 1;
-                    let single;
-                    let sources: &[usize] = match row.get(&p.src.var) {
-                        Some(Binding::Node(i)) => {
-                            single = [*i];
-                            &single
-                        }
-                        _ => seeds_of(&mut seeds, &p.src, f, graph)?,
-                    };
-                    let target = match row.get(&p.dst.var) {
-                        Some(Binding::Node(i)) => Some(*i),
-                        _ => None,
-                    };
-                    for &source in sources {
-                        let reached =
-                            segment(graph, source, &hop, p.min_hops, p.max_hops, &mut bfs);
-                        for (node, dist) in reached {
-                            if target.is_some_and(|t| t != node)
-                                || !graph.has_label(node, dst_label)
-                            {
-                                continue;
-                            }
-                            if target.is_none() && !f.admits(&p.dst.var, node, graph)? {
-                                continue;
-                            }
-                            let mut r = row.clone();
-                            r.insert(p.src.var.clone(), Binding::Node(source));
-                            r.insert(p.dst.var.clone(), Binding::Node(node));
-                            r.insert(p.var.clone(), Binding::Scalar(Value::Int(dist as i64)));
-                            if f.keeps(&r, graph)? {
-                                out.push(r);
-                            }
+        }
+        Ok(out)
+    }
+
+    fn expand_edge(
+        &self,
+        e: &EdgePat,
+        graph: &PropertyGraph,
+        rows: Vec<Row>,
+        f: &mut Filters<'_>,
+        stats: &mut GraphStats,
+        guard: &QueryGuard,
+    ) -> Result<Vec<Row>> {
+        let mut out = Vec::new();
+        let labels = graph.edge_label_set(&e.labels);
+        let src_label = graph.node_label(e.src.label.as_deref());
+        let dst_label = graph.node_label(e.dst.label.as_deref());
+        // With both ends unbound, a filtered end is seeded from its
+        // label scan; otherwise every edge is a candidate.
+        let seed_src = !f.node_only(&e.src.var).is_empty();
+        let seed_dst = !seed_src && !f.node_only(&e.dst.var).is_empty();
+        let mut seeds: Option<Vec<usize>> = None;
+        for row in rows {
+            guard.checkpoint(CheckPoint::GraphStep)?;
+            stats.expansions += 1;
+            let src_bound = bound_node(&row, &e.src.var);
+            let dst_bound = bound_node(&row, &e.dst.var);
+            // (edge, orientation) candidates: a bound end reads its
+            // adjacency in both orientations and keeps those that
+            // put it in place; a seeded end reads only the
+            // orientation that puts it in place, as a scan of every
+            // edge would.
+            let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
+            let mut both_ways = |edge: usize| {
+                let (a, b) = graph.endpoints(edge);
+                candidates.push((edge, a, b));
+                if !e.directed {
+                    candidates.push((edge, b, a));
+                }
+            };
+            if let Some(s) = src_bound {
+                graph.edges_of(s, Dir::Out, &labels).for_each(&mut both_ways);
+                if !e.directed {
+                    graph.edges_of(s, Dir::In, &labels).for_each(&mut both_ways);
+                }
+            } else if let Some(d) = dst_bound {
+                graph.edges_of(d, Dir::In, &labels).for_each(&mut both_ways);
+                if !e.directed {
+                    graph.edges_of(d, Dir::Out, &labels).for_each(&mut both_ways);
+                }
+            } else if seed_src || seed_dst {
+                let end = if seed_src { &e.src } else { &e.dst };
+                let (first, second) =
+                    if seed_src { (Dir::Out, Dir::In) } else { (Dir::In, Dir::Out) };
+                for &node in seeds_of(&mut seeds, end, f, graph)? {
+                    for edge in graph.edges_of(node, first, &labels) {
+                        let (a, b) = graph.endpoints(edge);
+                        candidates.push((edge, a, b));
+                    }
+                    if !e.directed {
+                        for edge in graph.edges_of(node, second, &labels) {
+                            let (a, b) = graph.endpoints(edge);
+                            candidates.push((edge, b, a));
                         }
                     }
                 }
+            } else {
+                graph.edges_labelled(&labels).for_each(&mut both_ways);
             }
-            PatternElem::Chain(c) => {
-                let dst = c.dst();
-                let dst_label = graph.node_label(dst.label.as_deref());
-                let steps: Vec<(Hop, NodeLabel)> = c
-                    .steps
-                    .iter()
-                    .map(|s| {
-                        let hop = Hop::new(graph, &s.labels, s.directed, s.forward);
-                        (hop, graph.node_label(s.node.label.as_deref()))
-                    })
-                    .collect();
-                let mut bfs = Bfs::new(graph.node_count());
-                let mut seeds: Option<Vec<usize>> = None;
-                for row in rows {
-                    guard.checkpoint(CheckPoint::GraphStep)?;
-                    stats.expansions += 1;
-                    let single;
-                    let sources: &[usize] = match row.get(&c.src.var) {
-                        Some(Binding::Node(i)) => {
-                            single = [*i];
-                            &single
-                        }
-                        _ => seeds_of(&mut seeds, &c.src, f, graph)?,
-                    };
-                    let target = match row.get(&dst.var) {
-                        Some(Binding::Node(i)) => Some(*i),
-                        _ => None,
-                    };
-                    for &source in sources {
-                        let reached = traverse_chain(graph, source, c, &steps, &row, &mut bfs);
-                        for (node, dist) in reached {
-                            if target.is_some_and(|t| t != node)
-                                || !graph.has_label(node, dst_label)
-                            {
-                                continue;
-                            }
-                            if target.is_none() && !f.admits(&dst.var, node, graph)? {
-                                continue;
-                            }
-                            let mut r = row.clone();
-                            r.insert(c.src.var.clone(), Binding::Node(source));
-                            r.insert(dst.var.clone(), Binding::Node(node));
-                            r.insert(c.var.clone(), Binding::Scalar(Value::Int(dist as i64)));
-                            if f.keeps(&r, graph)? {
-                                out.push(r);
-                            }
-                        }
-                    }
+            for (edge, s, d) in candidates {
+                if src_bound.is_some_and(|b| b != s) || dst_bound.is_some_and(|b| b != d) {
+                    continue;
+                }
+                if !graph.has_label(s, src_label) || !graph.has_label(d, dst_label) {
+                    continue;
+                }
+                if src_bound.is_none() && !f.admits(&e.src.var, s, graph)? {
+                    continue;
+                }
+                if dst_bound.is_none() && !f.admits(&e.dst.var, d, graph)? {
+                    continue;
+                }
+                let mut r = row.clone();
+                r.insert(e.src.var.clone(), Binding::Node(s));
+                r.insert(e.dst.var.clone(), Binding::Node(d));
+                r.insert(e.var.clone(), Binding::Edge(edge));
+                if f.keeps(&r, graph)? {
+                    out.push(r);
                 }
             }
         }
@@ -1061,38 +1032,47 @@ impl GraphEngine {
     }
 }
 
-/// Evaluate a multi-hop shortestPath chain from one source: compose the
-/// per-step BFS minima left to right, keeping the minimal total distance
-/// per reached node — the same per-step-minimum composition the DLIR
+/// One segment of a traversal, resolved once per pattern.
+struct Segment<'p> {
+    hop: Hop,
+    min_hops: u32,
+    max_hops: Option<u32>,
+    /// The node the segment ends at: existential, except after the last
+    /// segment, whose end the caller binds.
+    end: &'p NodePat,
+    end_label: NodeLabel,
+}
+
+/// The nodes `segments` reach from `source`, each with its minimal total
+/// hop count. BFS yields minimal distances, so under shortest-path
+/// semantics every (node, d) pair is a shortest path; for plain
+/// reachability the distance is informational only. A multi-hop chain
+/// composes the per-segment minima left to right — the composition the DLIR
 /// lowering performs (lengths are additive, so per-step minima compose).
-/// `steps` holds each step's hop and node label, resolved once.
-fn traverse_chain(
+fn traverse(
     graph: &PropertyGraph,
     source: usize,
-    c: &ChainPat,
-    steps: &[(Hop, NodeLabel)],
+    segments: &[Segment<'_>],
     row: &Row,
     bfs: &mut Bfs,
 ) -> Vec<(usize, u32)> {
-    let last = c.steps.len() - 1;
+    if let [only] = segments {
+        return segment(graph, source, &only.hop, only.min_hops, only.max_hops, bfs);
+    }
+    let last = segments.len() - 1;
     let mut frontier: FxHashMap<usize, u32> = FxHashMap::default();
     frontier.insert(source, 0);
-    for (i, (step, (hop, label))) in c.steps.iter().zip(steps).enumerate() {
+    for (i, seg) in segments.iter().enumerate() {
         let mut next: FxHashMap<usize, u32> = FxHashMap::default();
         for (&node, &total) in &frontier {
-            for (reached, d) in segment(graph, node, hop, step.min_hops, step.max_hops, bfs) {
-                if i < last {
-                    // Intermediate nodes are existential: enforce their
-                    // label (and a pre-bound variable, if any) here; the
-                    // final node is checked by the caller.
-                    if !graph.has_label(reached, *label) {
-                        continue;
-                    }
-                    if let Some(Binding::Node(b)) = row.get(&step.node.var) {
-                        if *b != reached {
-                            continue;
-                        }
-                    }
+            for (reached, d) in segment(graph, node, &seg.hop, seg.min_hops, seg.max_hops, bfs) {
+                // Intermediate nodes are existential: enforce their label
+                // (and a pre-bound variable, if any) here.
+                if i < last
+                    && (!graph.has_label(reached, seg.end_label)
+                        || bound_node(row, &seg.end.var).is_some_and(|b| b != reached))
+                {
+                    continue;
                 }
                 let candidate = total + d;
                 next.entry(reached).and_modify(|t| *t = (*t).min(candidate)).or_insert(candidate);
@@ -1104,6 +1084,13 @@ fn traverse_chain(
         }
     }
     frontier.into_iter().collect()
+}
+
+fn bound_node(row: &Row, var: &str) -> Option<usize> {
+    match row.get(var) {
+        Some(Binding::Node(i)) => Some(*i),
+        _ => None,
+    }
 }
 
 /// The nodes reachable from `source` within `[min_hops, max_hops]` hops
