@@ -175,7 +175,7 @@ impl PropertyGraph {
         let idx = self.edges.len();
         let edge = small_id(idx)?;
         let props = push_props(&mut self.keys, &mut self.edge_props, properties)?;
-        self.edges.push(EdgeRecord { label, src: src as u32, dst: dst as u32, props });
+        self.edges.push(EdgeRecord { label, src: small_id(src)?, dst: small_id(dst)?, props });
         self.outgoing[src].push((label, edge));
         self.incoming[dst].push((label, edge));
         Ok(idx)
@@ -411,7 +411,7 @@ enum Binding {
     Scalar(Value),
 }
 
-type Row = FxHashMap<String, Binding>;
+type Row = HashMap<String, Binding>;
 
 /// What a `MATCH` binds a variable as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
