@@ -560,25 +560,10 @@ impl<'a> Filters<'a> {
         }
         Ok(true)
     }
-
-    /// The label scan of an unbound node, filtered by the conjuncts that
-    /// read only it.
-    fn seeds(&mut self, n: &NodePat, graph: &PropertyGraph) -> Result<Vec<usize>> {
-        let mut seeds = graph.label_scan(graph.node_label(n.label.as_deref()));
-        if !self.node_only(&n.var).is_empty() {
-            let mut kept = Vec::with_capacity(seeds.len());
-            for node in seeds {
-                if self.admits(&n.var, node, graph)? {
-                    kept.push(node);
-                }
-            }
-            seeds = kept;
-        }
-        Ok(seeds)
-    }
 }
 
-/// The seeds of an unbound pattern end, computed on first use: they do not
+/// The seeds of an unbound pattern end: its label scan, filtered by the
+/// conjuncts that read only it. Computed on first use, since they do not
 /// depend on the row.
 fn seeds_of<'s>(
     seeds: &'s mut Option<Vec<usize>>,
@@ -587,7 +572,13 @@ fn seeds_of<'s>(
     graph: &PropertyGraph,
 ) -> Result<&'s [usize]> {
     if seeds.is_none() {
-        *seeds = Some(f.seeds(end, graph)?);
+        let mut kept = Vec::new();
+        for node in graph.label_scan(graph.node_label(end.label.as_deref())) {
+            if f.admits(&end.var, node, graph)? {
+                kept.push(node);
+            }
+        }
+        *seeds = Some(kept);
     }
     Ok(seeds.as_deref().unwrap_or_default())
 }
