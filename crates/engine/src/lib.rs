@@ -3,8 +3,8 @@
 //! Execution substrates for Raqlet. The paper evaluates its generated queries
 //! on Neo4j (Cypher), Soufflé (Datalog), DuckDB and Tableau HyPer (SQL);
 //! this crate provides laptop-scale in-memory simulators of those backends so
-//! the whole evaluation can run hermetically (the substitutions are listed in
-//! DESIGN.md §3):
+//! the whole evaluation can run hermetically (the engine table in
+//! `docs/ARCHITECTURE.md` lists which engine stands in for which backend):
 //!
 //! * [`datalog`] — a stratified naive/semi-naive Datalog engine with lattice
 //!   (shortest-path) support and parallel delta-partitioned rule evaluation —

@@ -5,8 +5,7 @@
 //! generator that reproduces the *structural properties* the interactive
 //! read queries depend on — a skewed friendship (KNOWS) degree distribution,
 //! message fan-out per person, reply chains, and person→city→country
-//! placement — at laptop scale, parameterised by a scale factor
-//! (see DESIGN.md §3 for the substitution rationale).
+//! placement — at laptop scale, parameterised by a scale factor.
 
 use raqlet_common::SplitMix64;
 
