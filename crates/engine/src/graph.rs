@@ -1555,6 +1555,15 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
     }
 
+    #[test]
+    fn edges_must_end_at_nodes() {
+        let mut g = PropertyGraph::new();
+        let a = g.add_node("Person", vec![]).unwrap();
+        let err = g.add_edge("KNOWS", a, a + 1, vec![]).unwrap_err();
+        assert!(err.to_string().contains("ends at node 1"), "{err}");
+        assert_eq!(g.edge_count(), 0);
+    }
+
     // Filtering while matching must not change a row or an error. Every
     // test below states what a MATCH followed by a WHERE returns; the
     // answers are those of filtering after the whole MATCH.
