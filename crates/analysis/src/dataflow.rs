@@ -324,7 +324,7 @@ fn rule_facts(
     for elem in &rule.body {
         if let BodyElem::Constraint { op, lhs, rhs } = elem {
             match (as_const(lhs, &vars), as_const(rhs, &vars)) {
-                (Some(a), Some(b)) if !op.eval(&a, &b) => {
+                (Some(a), Some(b)) if op.eval(&a, &b) != Some(true) => {
                     return (
                         vars,
                         Some(DeadReason::FalseConstraint {

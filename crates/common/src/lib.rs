@@ -6,6 +6,8 @@
 //!
 //! * [`value::Value`] — the dynamically typed scalar value that flows through
 //!   every engine (graph, relational, deductive);
+//! * [`ops`] — the comparison, arithmetic and aggregate operators every IR
+//!   names and every engine evaluates, with their three-valued semantics;
 //! * [`types::ValueType`] — the static type lattice used by schemas and by
 //!   type inference in the IR lowerings;
 //! * [`schema`] — the property-graph schema (PG-Schema) and the Datalog
@@ -41,6 +43,7 @@ pub mod error;
 pub mod guard;
 pub mod hash;
 pub mod ids;
+pub mod ops;
 pub mod relation;
 pub mod rng;
 pub mod schema;
@@ -54,6 +57,7 @@ pub use cell::{Cell, ValueDict};
 pub use diag::{DiagCode, Diagnostic, Severity, SeverityConfig};
 pub use error::{RaqletError, Result};
 pub use guard::{CancellationToken, CheckPoint, InjectedFault, QueryGuard};
+pub use ops::{AggFunc, ArithOp, CmpOp};
 pub use relation::{Database, Relation, Tuple};
 pub use rng::SplitMix64;
 pub use schema::{DlSchema, PgSchema};

@@ -16,83 +16,9 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+pub use raqlet_common::ops::{AggFunc, ArithOp, CmpOp};
 use raqlet_common::schema::DlSchema;
 use raqlet_common::Value;
-
-/// Comparison operators usable in body constraints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    Eq,
-    Neq,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl CmpOp {
-    /// The textual operator used by the Soufflé and SQL unparsers.
-    pub fn symbol(&self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Neq => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
-
-    /// Evaluate the comparison on two concrete values.
-    pub fn eval(&self, lhs: &Value, rhs: &Value) -> bool {
-        match self {
-            CmpOp::Eq => lhs == rhs,
-            CmpOp::Neq => lhs != rhs,
-            CmpOp::Lt => lhs < rhs,
-            CmpOp::Le => lhs <= rhs,
-            CmpOp::Gt => lhs > rhs,
-            CmpOp::Ge => lhs >= rhs,
-        }
-    }
-}
-
-/// Arithmetic operators usable in body constraints and head expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArithOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-}
-
-impl ArithOp {
-    /// The textual operator.
-    pub fn symbol(&self) -> &'static str {
-        match self {
-            ArithOp::Add => "+",
-            ArithOp::Sub => "-",
-            ArithOp::Mul => "*",
-            ArithOp::Div => "/",
-            ArithOp::Mod => "%",
-        }
-    }
-
-    /// Evaluate on integers: the one checked integer arithmetic every engine
-    /// uses. Overflow (including `i64::MIN / -1` and `i64::MIN % -1`),
-    /// division or modulo by zero, and non-integer operands yield `None`.
-    pub fn eval(&self, lhs: &Value, rhs: &Value) -> Option<Value> {
-        let (a, b) = (lhs.as_int()?, rhs.as_int()?);
-        let v = match self {
-            ArithOp::Add => a.checked_add(b)?,
-            ArithOp::Sub => a.checked_sub(b)?,
-            ArithOp::Mul => a.checked_mul(b)?,
-            ArithOp::Div => a.checked_div(b)?,
-            ArithOp::Mod => a.checked_rem(b)?,
-        };
-        Some(Value::Int(v))
-    }
-}
 
 /// A term in an atom: a variable, a constant, or a wildcard (`_`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -287,29 +213,6 @@ impl fmt::Display for BodyElem {
             BodyElem::Atom(a) => write!(f, "{a}"),
             BodyElem::Negated(a) => write!(f, "!{a}"),
             BodyElem::Constraint { op, lhs, rhs } => write!(f, "{lhs} {} {rhs}", op.symbol()),
-        }
-    }
-}
-
-/// Aggregation functions available in DLIR rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-impl AggFunc {
-    /// Canonical lower-case name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AggFunc::Count => "count",
-            AggFunc::Sum => "sum",
-            AggFunc::Min => "min",
-            AggFunc::Max => "max",
-            AggFunc::Avg => "avg",
         }
     }
 }
@@ -630,10 +533,10 @@ mod tests {
 
     #[test]
     fn cmp_op_eval_matches_value_ordering() {
-        assert!(CmpOp::Lt.eval(&Value::Int(1), &Value::Int(2)));
-        assert!(!CmpOp::Gt.eval(&Value::Int(1), &Value::Int(2)));
-        assert!(CmpOp::Neq.eval(&Value::str("a"), &Value::str("b")));
-        assert!(CmpOp::Ge.eval(&Value::Int(2), &Value::Int(2)));
+        assert_eq!(CmpOp::Lt.eval(&Value::Int(1), &Value::Int(2)), Some(true));
+        assert_eq!(CmpOp::Gt.eval(&Value::Int(1), &Value::Int(2)), Some(false));
+        assert_eq!(CmpOp::Neq.eval(&Value::str("a"), &Value::str("b")), Some(true));
+        assert_eq!(CmpOp::Ge.eval(&Value::Int(2), &Value::Int(2)), Some(true));
     }
 
     #[test]

@@ -960,20 +960,8 @@ impl<'a> Lowerer<'a> {
                         Some(a) => Some(ctx.expr_to_var(a)?),
                         None => None,
                     };
-                    let func = match func {
-                        pgir::AggFunc::Count => AggFunc::Count,
-                        pgir::AggFunc::Sum => AggFunc::Sum,
-                        pgir::AggFunc::Min => AggFunc::Min,
-                        pgir::AggFunc::Max => AggFunc::Max,
-                        pgir::AggFunc::Avg => AggFunc::Avg,
-                        pgir::AggFunc::Collect => {
-                            return Err(RaqletError::unsupported(
-                                "collect() has no Datalog counterpart in DLIR",
-                            ))
-                        }
-                    };
                     aggregation = Some(Aggregation {
-                        func,
+                        func: *func,
                         input_var,
                         output_var: alias.clone(),
                         group_by: Vec::new(), // filled in after the loop
@@ -1166,20 +1154,11 @@ impl<'l, 'a> RuleBodyCtx<'l, 'a> {
                 let (v, _) = self.resolve_property(var, prop, None)?;
                 Ok(DlExpr::var(&v))
             }
-            PgirExpr::Arith { op, lhs, rhs } => {
-                let op = match op {
-                    pgir::ArithOp::Add => ArithOp::Add,
-                    pgir::ArithOp::Sub => ArithOp::Sub,
-                    pgir::ArithOp::Mul => ArithOp::Mul,
-                    pgir::ArithOp::Div => ArithOp::Div,
-                    pgir::ArithOp::Mod => ArithOp::Mod,
-                };
-                Ok(DlExpr::Arith {
-                    op,
-                    lhs: Box::new(self.lower_scalar(lhs)?),
-                    rhs: Box::new(self.lower_scalar(rhs)?),
-                })
-            }
+            PgirExpr::Arith { op, lhs, rhs } => Ok(DlExpr::Arith {
+                op: *op,
+                lhs: Box::new(self.lower_scalar(lhs)?),
+                rhs: Box::new(self.lower_scalar(rhs)?),
+            }),
             other => Err(RaqletError::unsupported(format!(
                 "expression `{other}` cannot be used as a scalar here"
             ))),
@@ -1205,17 +1184,9 @@ impl<'l, 'a> RuleBodyCtx<'l, 'a> {
     fn add_predicate(&mut self, pred: &PgirExpr) -> Result<()> {
         match pred {
             PgirExpr::Cmp { op, lhs, rhs } => {
-                let op = match op {
-                    pgir::CmpOp::Eq => CmpOp::Eq,
-                    pgir::CmpOp::Neq => CmpOp::Neq,
-                    pgir::CmpOp::Lt => CmpOp::Lt,
-                    pgir::CmpOp::Le => CmpOp::Le,
-                    pgir::CmpOp::Gt => CmpOp::Gt,
-                    pgir::CmpOp::Ge => CmpOp::Ge,
-                };
                 let lhs = self.lower_scalar(lhs)?;
                 let rhs = self.lower_scalar(rhs)?;
-                self.body.push(BodyElem::Constraint { op, lhs, rhs });
+                self.body.push(BodyElem::Constraint { op: *op, lhs, rhs });
                 Ok(())
             }
             PgirExpr::InList { expr, list } => {
@@ -1332,7 +1303,7 @@ fn to_dnf(expr: &PgirExpr) -> Result<Vec<Vec<PgirExpr>>> {
                 .iter()
                 .map(|v| {
                     vec![PgirExpr::Cmp {
-                        op: pgir::CmpOp::Eq,
+                        op: CmpOp::Eq,
                         lhs: expr.clone(),
                         rhs: Box::new(PgirExpr::Const(v.clone())),
                     }]
@@ -1347,15 +1318,7 @@ fn to_dnf(expr: &PgirExpr) -> Result<Vec<Vec<PgirExpr>>> {
 fn negate(expr: &PgirExpr) -> Result<PgirExpr> {
     Ok(match expr {
         PgirExpr::Cmp { op, lhs, rhs } => {
-            let flipped = match op {
-                pgir::CmpOp::Eq => pgir::CmpOp::Neq,
-                pgir::CmpOp::Neq => pgir::CmpOp::Eq,
-                pgir::CmpOp::Lt => pgir::CmpOp::Ge,
-                pgir::CmpOp::Le => pgir::CmpOp::Gt,
-                pgir::CmpOp::Gt => pgir::CmpOp::Le,
-                pgir::CmpOp::Ge => pgir::CmpOp::Lt,
-            };
-            PgirExpr::Cmp { op: flipped, lhs: lhs.clone(), rhs: rhs.clone() }
+            PgirExpr::Cmp { op: op.negated(), lhs: lhs.clone(), rhs: rhs.clone() }
         }
         PgirExpr::And(a, b) => PgirExpr::Or(Box::new(negate(a)?), Box::new(negate(b)?)),
         PgirExpr::Or(a, b) => PgirExpr::And(Box::new(negate(a)?), Box::new(negate(b)?)),

@@ -1010,13 +1010,20 @@ fn apply_ready_constraints(envs: &mut Envs, plan: &RulePlan, pending: &mut Vec<u
                     // environments — there is no derivation for them — so
                     // every surviving environment binds the slot and the
                     // all-envs-bind-the-same-slots invariant holds.
+                    // When a positive atom binds the slot too, the planner
+                    // runs a comparison as an assignment, and `x = NULL` is
+                    // NULL whatever the atom holds: no derivation either.
+                    let compared = plan.body.iter().any(|e| {
+                        let PlanElem::Atom(a) = e else { return false };
+                        a.terms.iter().any(|t| matches!(t, PlanTerm::Slot(s) if *s == slot))
+                    });
                     let dict = &plan.dict;
                     envs.retain(|env| match eval_expr_cell(env, expr, dict) {
-                        Some(cell) => {
+                        Some(cell) if !(compared && cell == NULL_CELL) => {
                             env[slot] = cell;
                             true
                         }
-                        None => false,
+                        _ => false,
                     });
                     fired = true;
                     return false;
@@ -1673,6 +1680,8 @@ fn expr_ready(env: &[Cell], expr: &PlanExpr) -> bool {
     }
 }
 
+/// The three-valued comparison [`CmpOp::eval`](raqlet_dlir::CmpOp::eval)
+/// under the environment; `None` also when an operand cannot be evaluated.
 fn eval_constraint(
     env: &[Cell],
     op: raqlet_dlir::CmpOp,
@@ -1681,15 +1690,19 @@ fn eval_constraint(
     dict: &ValueDict,
 ) -> Option<bool> {
     // Equality and inequality on non-arithmetic operands are cell compares
-    // (canonical encoding makes cell equality value equality).
+    // (canonical encoding makes cell equality value equality), except that a
+    // comparison with NULL is NULL.
     if matches!(op, raqlet_dlir::CmpOp::Eq | raqlet_dlir::CmpOp::Neq) {
         let l = simple_cell(env, lhs);
         let r = simple_cell(env, rhs);
         if let (Some(l), Some(r)) = (l, r) {
-            return Some(if op == raqlet_dlir::CmpOp::Eq { l == r } else { l != r });
+            if l == NULL_CELL || r == NULL_CELL {
+                return None;
+            }
+            return Some((l == r) == (op == raqlet_dlir::CmpOp::Eq));
         }
     }
-    Some(op.eval(&eval_expr(env, lhs, dict)?, &eval_expr(env, rhs, dict)?))
+    op.eval(&eval_expr(env, lhs, dict)?, &eval_expr(env, rhs, dict)?)
 }
 
 /// The packed cell of a slot/const expression (None for arithmetic, which
@@ -1819,22 +1832,8 @@ fn aggregate(plan: &RulePlan, agg: &PlanAgg, bindings: &Envs, dict: &ValueDict) 
 
     let mut out = Derived::new(plan.head_stride());
     for (_, (key_cells, values)) in groups {
-        let agg_value = match agg.func {
-            raqlet_dlir::AggFunc::Count => Value::Int(values.len() as i64),
-            raqlet_dlir::AggFunc::Sum => {
-                Value::Int(values.iter().filter_map(|v| v.as_int()).sum::<i64>())
-            }
-            raqlet_dlir::AggFunc::Min => values.iter().min().cloned().unwrap_or(Value::Null),
-            raqlet_dlir::AggFunc::Max => values.iter().max().cloned().unwrap_or(Value::Null),
-            raqlet_dlir::AggFunc::Avg => {
-                let ints: Vec<i64> = values.iter().filter_map(|v| v.as_int()).collect();
-                if ints.is_empty() {
-                    Value::Null
-                } else {
-                    Value::Int(ints.iter().sum::<i64>() / ints.len() as i64)
-                }
-            }
-        };
+        // The (group, input) pairs are distinct already.
+        let agg_value = agg.func.fold(values, false);
         // Build the head row: group-by slots in head order plus the
         // aggregate output.
         let mut env = vec![UNBOUND_CELL; plan.nvars];

@@ -29,10 +29,9 @@ use raqlet_common::guard::{CheckPoint, QueryGuard};
 use raqlet_common::hash::{FxHashMap, FxHashSet};
 use raqlet_common::schema::normalize_label;
 use raqlet_common::{RaqletError, Relation, Result, Value};
-use raqlet_dlir::ArithOp as DlArithOp;
 use raqlet_pgir::{
-    AggFunc, ArithOp, CmpOp, EdgePat, MatchConstruct, NodePat, OutputItem, PatternElem, PgirClause,
-    PgirExpr, PgirQuery,
+    CmpOp, EdgePat, MatchConstruct, NodePat, OutputItem, PatternElem, PgirClause, PgirExpr,
+    PgirQuery,
 };
 
 /// A stored node: its label id and where its properties start in the node
@@ -981,7 +980,7 @@ impl GraphEngine {
         for (_, (mut group_row, members)) in groups {
             for item in items {
                 if let PgirExpr::Aggregate { func, distinct: agg_distinct, arg } = &item.expr {
-                    let mut values = Vec::new();
+                    let mut values = Vec::with_capacity(members.len());
                     for member in &members {
                         let v = match arg {
                             Some(a) => binding_to_value(Some(&eval_item(a, member, graph)?), graph),
@@ -991,29 +990,7 @@ impl GraphEngine {
                     }
                     // Set semantics: Raqlet aggregates over distinct values,
                     // matching the Datalog and SQL backends.
-                    if *agg_distinct || arg.is_some() {
-                        values.sort();
-                        values.dedup();
-                    }
-                    let result = match func {
-                        AggFunc::Count => Value::Int(values.len() as i64),
-                        AggFunc::Sum => {
-                            Value::Int(values.iter().filter_map(|v| v.as_int()).sum::<i64>())
-                        }
-                        AggFunc::Min => values.iter().min().cloned().unwrap_or(Value::Null),
-                        AggFunc::Max => values.iter().max().cloned().unwrap_or(Value::Null),
-                        AggFunc::Avg => {
-                            let ints: Vec<i64> = values.iter().filter_map(|v| v.as_int()).collect();
-                            if ints.is_empty() {
-                                Value::Null
-                            } else {
-                                Value::Int(ints.iter().sum::<i64>() / ints.len() as i64)
-                            }
-                        }
-                        AggFunc::Collect => {
-                            return Err(RaqletError::unsupported("collect() on the graph engine"))
-                        }
-                    };
+                    let result = func.fold(values, *agg_distinct || arg.is_some());
                     group_row.insert(item.alias.clone(), Binding::Scalar(result));
                 }
             }
@@ -1204,44 +1181,71 @@ fn eval_predicate(expr: &PgirExpr, row: &Row, graph: &PropertyGraph) -> Result<V
         PgirExpr::Cmp { op, lhs, rhs } => {
             let l = eval_predicate(lhs, row, graph)?;
             let r = eval_predicate(rhs, row, graph)?;
-            let result = match op {
-                CmpOp::Eq => l == r,
-                CmpOp::Neq => l != r,
-                CmpOp::Lt => l < r,
-                CmpOp::Le => l <= r,
-                CmpOp::Gt => l > r,
-                CmpOp::Ge => l >= r,
-            };
-            Ok(Value::Bool(result))
+            Ok(kleene(op.eval(&l, &r)))
         }
-        PgirExpr::And(a, b) => Ok(Value::Bool(
-            eval_predicate(a, row, graph)?.is_truthy()
-                && eval_predicate(b, row, graph)?.is_truthy(),
-        )),
-        PgirExpr::Or(a, b) => Ok(Value::Bool(
-            eval_predicate(a, row, graph)?.is_truthy()
-                || eval_predicate(b, row, graph)?.is_truthy(),
-        )),
-        PgirExpr::Not(e) => Ok(Value::Bool(!eval_predicate(e, row, graph)?.is_truthy())),
+        // Kleene AND and OR, short-circuiting on false and on true.
+        PgirExpr::And(a, b) => {
+            let l = truth(&eval_predicate(a, row, graph)?);
+            if l == Some(false) {
+                return Ok(Value::Bool(false));
+            }
+            Ok(kleene(and(l, truth(&eval_predicate(b, row, graph)?))))
+        }
+        PgirExpr::Or(a, b) => {
+            let l = truth(&eval_predicate(a, row, graph)?);
+            if l == Some(true) {
+                return Ok(Value::Bool(true));
+            }
+            Ok(kleene(or(l, truth(&eval_predicate(b, row, graph)?))))
+        }
+        PgirExpr::Not(e) => Ok(kleene(truth(&eval_predicate(e, row, graph)?).map(|t| !t))),
+        // `x IN [a, b]` is `x = a OR x = b`.
         PgirExpr::InList { expr, list } => {
             let v = eval_predicate(expr, row, graph)?;
-            Ok(Value::Bool(list.contains(&v)))
+            let equal = list.iter().map(|item| CmpOp::Eq.eval(&v, item));
+            Ok(kleene(equal.reduce(or).unwrap_or(Some(false))))
         }
         PgirExpr::Arith { op, lhs, rhs } => {
             let l = eval_predicate(lhs, row, graph)?;
             let r = eval_predicate(rhs, row, graph)?;
-            let op = match op {
-                ArithOp::Add => DlArithOp::Add,
-                ArithOp::Sub => DlArithOp::Sub,
-                ArithOp::Mul => DlArithOp::Mul,
-                ArithOp::Div => DlArithOp::Div,
-                ArithOp::Mod => DlArithOp::Mod,
-            };
             Ok(op.eval(&l, &r).unwrap_or(Value::Null))
         }
         PgirExpr::Aggregate { .. } => {
             Err(RaqletError::semantic("aggregate outside of WITH/RETURN projection"))
         }
+    }
+}
+
+/// A predicate value's Kleene truth: `None` for NULL. A value that is
+/// neither a boolean nor NULL is false.
+fn truth(v: &Value) -> Option<bool> {
+    match v {
+        Value::Bool(b) => Some(*b),
+        Value::Null => None,
+        _ => Some(false),
+    }
+}
+
+/// A Kleene truth as a predicate value: NULL for `None`.
+fn kleene(t: Option<bool>) -> Value {
+    t.map_or(Value::Null, Value::Bool)
+}
+
+/// Kleene AND: false wins over NULL.
+fn and(l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    match (l, r) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    }
+}
+
+/// Kleene OR: true wins over NULL.
+fn or(l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    match (l, r) {
+        (Some(true), _) | (_, Some(true)) => Some(true),
+        (Some(false), Some(false)) => Some(false),
+        _ => None,
     }
 }
 

@@ -43,12 +43,10 @@ use std::collections::HashMap;
 use raqlet_common::cell::{is_tombstone, Cell, ValueDict, NULL_CELL};
 use raqlet_common::guard::{CheckPoint, QueryGuard};
 use raqlet_common::hash::{FxHashMap, FxHashSet};
+use raqlet_common::ops::CmpOp;
 use raqlet_common::schema::DlSchema;
 use raqlet_common::{Database, RaqletError, Relation, Result, Value};
-use raqlet_dlir::ArithOp;
-use raqlet_sqir::{
-    Cte, DepthBound, FromItem, SelectStmt, SqirQuery, SqlAggFunc, SqlArithOp, SqlCmpOp, SqlExpr,
-};
+use raqlet_sqir::{Cte, DepthBound, FromItem, SelectStmt, SqirQuery, SqlExpr};
 
 /// Execution profile: how a keyed join step finds its candidate rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -286,7 +284,7 @@ impl DepthCut {
     /// The bound conjunct on the projected row: its length `<= max_depth`.
     fn admits(&self, tuple: &[Cell], dict: &ValueDict) -> bool {
         let length = dict.decode(tuple[self.bound.column]);
-        eval_cmp(SqlCmpOp::Le, &length, &Value::Int(self.bound.max_depth))
+        CmpOp::Le.eval(&length, &Value::Int(self.bound.max_depth)) == Some(true)
     }
 
     fn group(&self, row: &[Cell]) -> Vec<Cell> {
@@ -708,7 +706,7 @@ fn equi_join_pairs<'p>(
     new_alias: &'p str,
 ) -> impl Iterator<Item = ((&'p str, &'p str), (&'p str, &'p str))> + 'p {
     predicates.iter().filter_map(move |pred| {
-        let SqlExpr::Cmp { op: SqlCmpOp::Eq, lhs, rhs } = pred else { return None };
+        let SqlExpr::Cmp { op: CmpOp::Eq, lhs, rhs } = pred else { return None };
         let (SqlExpr::Column { table: t1, column: c1 }, SqlExpr::Column { table: t2, column: c2 }) =
             (lhs.as_ref(), rhs.as_ref())
         else {
@@ -824,18 +822,11 @@ impl<'a> RowContext<'a> {
             SqlExpr::Cmp { op, lhs, rhs } => {
                 let l = self.eval_scalar_with(lhs, row, candidate)?;
                 let r = self.eval_scalar_with(rhs, row, candidate)?;
-                Ok(Value::Bool(eval_cmp(*op, &l, &r)))
+                Ok(op.eval(&l, &r).map_or(Value::Null, Value::Bool))
             }
             SqlExpr::Arith { op, lhs, rhs } => {
                 let l = self.eval_scalar_with(lhs, row, candidate)?;
                 let r = self.eval_scalar_with(rhs, row, candidate)?;
-                let op = match op {
-                    SqlArithOp::Add => ArithOp::Add,
-                    SqlArithOp::Sub => ArithOp::Sub,
-                    SqlArithOp::Mul => ArithOp::Mul,
-                    SqlArithOp::Div => ArithOp::Div,
-                    SqlArithOp::Mod => ArithOp::Mod,
-                };
                 Ok(op.eval(&l, &r).unwrap_or(Value::Null))
             }
             SqlExpr::Aggregate { .. } => Err(RaqletError::execution(
@@ -850,33 +841,14 @@ impl<'a> RowContext<'a> {
     fn eval_aggregate_item(&self, expr: &SqlExpr, group_rows: &[&[Cell]]) -> Result<Value> {
         match expr {
             SqlExpr::Aggregate { func, distinct, arg } => {
-                let mut values: Vec<Value> = match arg {
+                let values: Vec<Value> = match arg {
                     Some(a) => group_rows
                         .iter()
                         .map(|row| self.eval_scalar(a, row))
                         .collect::<Result<Vec<_>>>()?,
                     None => group_rows.iter().map(|_| Value::Int(1)).collect(),
                 };
-                if *distinct {
-                    values.sort();
-                    values.dedup();
-                }
-                Ok(match func {
-                    SqlAggFunc::Count => Value::Int(values.len() as i64),
-                    SqlAggFunc::Sum => {
-                        Value::Int(values.iter().filter_map(|v| v.as_int()).sum::<i64>())
-                    }
-                    SqlAggFunc::Min => values.iter().min().cloned().unwrap_or(Value::Null),
-                    SqlAggFunc::Max => values.iter().max().cloned().unwrap_or(Value::Null),
-                    SqlAggFunc::Avg => {
-                        let ints: Vec<i64> = values.iter().filter_map(|v| v.as_int()).collect();
-                        if ints.is_empty() {
-                            Value::Null
-                        } else {
-                            Value::Int(ints.iter().sum::<i64>() / ints.len() as i64)
-                        }
-                    }
-                })
+                Ok(func.fold(values, *distinct))
             }
             // Non-aggregate items inside a GROUP BY are group keys: all rows
             // of the group agree, so read from the first.
@@ -888,23 +860,10 @@ impl<'a> RowContext<'a> {
     }
 }
 
-fn eval_cmp(op: SqlCmpOp, l: &Value, r: &Value) -> bool {
-    if l.is_null() || r.is_null() {
-        return false;
-    }
-    match op {
-        SqlCmpOp::Eq => l == r,
-        SqlCmpOp::Neq => l != r,
-        SqlCmpOp::Lt => l < r,
-        SqlCmpOp::Le => l <= r,
-        SqlCmpOp::Gt => l > r,
-        SqlCmpOp::Ge => l >= r,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raqlet_common::ops::ArithOp;
     use raqlet_common::schema::{Column, RelationDecl, RelationKind};
     use raqlet_common::ValueType;
     use raqlet_dlir::{Atom, BodyElem, DlExpr, DlirProgram, Rule};
@@ -1162,12 +1121,12 @@ mod tests {
         // first (a cross product).
         let predicates = vec![
             SqlExpr::Cmp {
-                op: SqlCmpOp::Eq,
+                op: CmpOp::Eq,
                 lhs: Box::new(col("t0", "x")),
                 rhs: Box::new(col("t2", "x")),
             },
             SqlExpr::Cmp {
-                op: SqlCmpOp::Eq,
+                op: CmpOp::Eq,
                 lhs: Box::new(col("t2", "x")),
                 rhs: Box::new(col("t1", "x")),
             },
@@ -1281,7 +1240,7 @@ mod tests {
         // walk(n, len): from node 0 along `edge`, while (R.len + 1) <= 3 —
         // CQ13's depth bound, a conjunct that reads only the working table.
         let plus_one = SqlExpr::Arith {
-            op: SqlArithOp::Add,
+            op: ArithOp::Add,
             lhs: Box::new(col("R", "len")),
             rhs: Box::new(SqlExpr::int(1)),
         };
@@ -1301,7 +1260,7 @@ mod tests {
                     vec![
                         SqlExpr::eq(col("R", "n"), col("e", "src")),
                         SqlExpr::Cmp {
-                            op: SqlCmpOp::Le,
+                            op: CmpOp::Le,
                             lhs: Box::new(plus_one),
                             rhs: Box::new(SqlExpr::int(3)),
                         },
@@ -1373,8 +1332,8 @@ mod tests {
             ctes: Vec::new(),
             final_select: select(
                 &[
-                    (arith(SqlArithOp::Add, Box::new(SqlExpr::int(1))), "up"),
-                    (arith(SqlArithOp::Div, Box::new(col("e", "dst"))), "q"),
+                    (arith(ArithOp::Add, Box::new(SqlExpr::int(1))), "up"),
+                    (arith(ArithOp::Div, Box::new(col("e", "dst"))), "q"),
                 ],
                 &[("edge", "e")],
                 Vec::new(),

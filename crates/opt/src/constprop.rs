@@ -77,12 +77,13 @@ fn simplify_rule(rule: &mut Rule) -> Simplified {
         let BodyElem::Constraint { op, lhs, rhs } = elem else { return true };
         changed |= fold_expr(lhs) | fold_expr(rhs);
         // Evaluate constraints over two constants: drop the trivially true
-        // ones. Constraints on variables we could not substitute (head
-        // variables) stay, and so do the `var = const` constraints that were
-        // propagated: keeping them is always safe.
+        // ones; a false or NULL one makes the rule unsatisfiable. Constraints
+        // on variables we could not substitute (head variables) stay, and so
+        // do the `var = const` constraints that were propagated: keeping them
+        // is always safe.
         if let (DlExpr::Const(a), DlExpr::Const(b)) = (&*lhs, &*rhs) {
             changed = true;
-            if op.eval(a, b) {
+            if op.eval(a, b) == Some(true) {
                 return false;
             }
             unsatisfiable = true;

@@ -16,6 +16,7 @@
 
 use std::fmt;
 
+pub use raqlet_common::ops::{AggFunc, ArithOp, CmpOp};
 use raqlet_common::Value;
 
 /// A normalised PGIR query: an ordered sequence of clause constructs.
@@ -282,91 +283,6 @@ impl OutputItem {
     pub fn new(expr: PgirExpr, alias: impl Into<String>) -> Self {
         OutputItem { expr, alias: alias.into() }
     }
-}
-
-/// Aggregation functions representable in PGIR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-    Collect,
-}
-
-impl AggFunc {
-    /// Parse a Cypher aggregate function name.
-    pub fn from_name(name: &str) -> Option<AggFunc> {
-        match name.to_ascii_lowercase().as_str() {
-            "count" => Some(AggFunc::Count),
-            "sum" => Some(AggFunc::Sum),
-            "min" => Some(AggFunc::Min),
-            "max" => Some(AggFunc::Max),
-            "avg" => Some(AggFunc::Avg),
-            "collect" => Some(AggFunc::Collect),
-            _ => None,
-        }
-    }
-
-    /// The canonical lower-case name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AggFunc::Count => "count",
-            AggFunc::Sum => "sum",
-            AggFunc::Min => "min",
-            AggFunc::Max => "max",
-            AggFunc::Avg => "avg",
-            AggFunc::Collect => "collect",
-        }
-    }
-}
-
-/// Comparison operators in PGIR predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    Eq,
-    Neq,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl CmpOp {
-    /// The SQL / Datalog spelling of the operator.
-    pub fn symbol(&self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Neq => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
-
-    /// The comparison with its operands swapped.
-    pub fn flipped(&self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Neq => CmpOp::Neq,
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-        }
-    }
-}
-
-/// Arithmetic operators in PGIR expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArithOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
 }
 
 /// A normalised PGIR expression.

@@ -9,78 +9,8 @@
 
 use std::fmt;
 
+use raqlet_common::ops::{AggFunc, ArithOp, CmpOp};
 use raqlet_common::Value;
-
-/// Aggregate functions available in SQIR select items.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SqlAggFunc {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-impl SqlAggFunc {
-    /// SQL spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SqlAggFunc::Count => "COUNT",
-            SqlAggFunc::Sum => "SUM",
-            SqlAggFunc::Min => "MIN",
-            SqlAggFunc::Max => "MAX",
-            SqlAggFunc::Avg => "AVG",
-        }
-    }
-}
-
-/// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SqlCmpOp {
-    Eq,
-    Neq,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl SqlCmpOp {
-    /// SQL spelling.
-    pub fn symbol(&self) -> &'static str {
-        match self {
-            SqlCmpOp::Eq => "=",
-            SqlCmpOp::Neq => "<>",
-            SqlCmpOp::Lt => "<",
-            SqlCmpOp::Le => "<=",
-            SqlCmpOp::Gt => ">",
-            SqlCmpOp::Ge => ">=",
-        }
-    }
-}
-
-/// Arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SqlArithOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-}
-
-impl SqlArithOp {
-    /// SQL spelling.
-    pub fn symbol(&self) -> &'static str {
-        match self {
-            SqlArithOp::Add => "+",
-            SqlArithOp::Sub => "-",
-            SqlArithOp::Mul => "*",
-            SqlArithOp::Div => "/",
-            SqlArithOp::Mod => "%",
-        }
-    }
-}
 
 /// A scalar SQL expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,11 +20,11 @@ pub enum SqlExpr {
     /// A literal constant.
     Literal(Value),
     /// Comparison.
-    Cmp { op: SqlCmpOp, lhs: Box<SqlExpr>, rhs: Box<SqlExpr> },
+    Cmp { op: CmpOp, lhs: Box<SqlExpr>, rhs: Box<SqlExpr> },
     /// Arithmetic.
-    Arith { op: SqlArithOp, lhs: Box<SqlExpr>, rhs: Box<SqlExpr> },
+    Arith { op: ArithOp, lhs: Box<SqlExpr>, rhs: Box<SqlExpr> },
     /// Aggregate application (`None` argument means `COUNT(*)`).
-    Aggregate { func: SqlAggFunc, distinct: bool, arg: Option<Box<SqlExpr>> },
+    Aggregate { func: AggFunc, distinct: bool, arg: Option<Box<SqlExpr>> },
     /// `NOT EXISTS (SELECT 1 FROM table AS alias WHERE conditions)` — the
     /// encoding of Datalog negation.
     NotExists { table: String, alias: String, conditions: Vec<SqlExpr> },
@@ -113,7 +43,7 @@ impl SqlExpr {
 
     /// Equality helper.
     pub fn eq(lhs: SqlExpr, rhs: SqlExpr) -> SqlExpr {
-        SqlExpr::Cmp { op: SqlCmpOp::Eq, lhs: Box::new(lhs), rhs: Box::new(rhs) }
+        SqlExpr::Cmp { op: CmpOp::Eq, lhs: Box::new(lhs), rhs: Box::new(rhs) }
     }
 
     /// True if the expression contains an aggregate.
@@ -150,6 +80,7 @@ impl fmt::Display for SqlExpr {
             SqlExpr::Literal(Value::Str(s)) => write!(f, "'{}'", s.replace('\'', "''")),
             SqlExpr::Literal(Value::Null) => write!(f, "NULL"),
             SqlExpr::Literal(v) => write!(f, "{v}"),
+            SqlExpr::Cmp { op: CmpOp::Neq, lhs, rhs } => write!(f, "({lhs} <> {rhs})"),
             SqlExpr::Cmp { op, lhs, rhs } => write!(f, "({lhs} {} {rhs})", op.symbol()),
             SqlExpr::Arith { op, lhs, rhs } => write!(f, "({lhs} {} {rhs})", op.symbol()),
             SqlExpr::Aggregate { func, distinct, arg } => {
@@ -157,10 +88,11 @@ impl fmt::Display for SqlExpr {
                     Some(a) => a.to_string(),
                     None => "*".to_string(),
                 };
+                let func = func.name().to_ascii_uppercase();
                 if *distinct {
-                    write!(f, "{}(DISTINCT {inner})", func.name())
+                    write!(f, "{func}(DISTINCT {inner})")
                 } else {
-                    write!(f, "{}({inner})", func.name())
+                    write!(f, "{func}({inner})")
                 }
             }
             SqlExpr::NotExists { table, alias, conditions } => {
@@ -269,7 +201,7 @@ impl DepthBound {
     pub fn conjunct(&self, branch: &SelectStmt) -> Option<SqlExpr> {
         let item = branch.items.get(self.column)?;
         Some(SqlExpr::Cmp {
-            op: SqlCmpOp::Le,
+            op: CmpOp::Le,
             lhs: Box::new(item.expr.clone()),
             rhs: Box::new(SqlExpr::int(self.max_depth)),
         })
@@ -335,7 +267,7 @@ mod tests {
         assert_eq!(e.to_string(), "(R1.id = 42)");
         let s = SqlExpr::Literal(Value::str("O'Hara"));
         assert_eq!(s.to_string(), "'O''Hara'");
-        let agg = SqlExpr::Aggregate { func: SqlAggFunc::Count, distinct: false, arg: None };
+        let agg = SqlExpr::Aggregate { func: AggFunc::Count, distinct: false, arg: None };
         assert_eq!(agg.to_string(), "COUNT(*)");
     }
 
@@ -380,7 +312,7 @@ mod tests {
         assert!(!stmt.is_aggregating());
         stmt.items.push(SelectItem::new(
             SqlExpr::Aggregate {
-                func: SqlAggFunc::Sum,
+                func: AggFunc::Sum,
                 distinct: false,
                 arg: Some(Box::new(SqlExpr::col("R", "v"))),
             },

@@ -198,7 +198,7 @@ impl<'a> Lowering<'a> {
             if i == col {
                 items.push(SelectItem::new(
                     SqlExpr::Aggregate {
-                        func: SqlAggFunc::Min,
+                        func: AggFunc::Min,
                         distinct: false,
                         arg: Some(Box::new(SqlExpr::col("A", c))),
                     },
@@ -301,7 +301,7 @@ impl<'a> Lowering<'a> {
                 {
                     (Some(l), Some(r)) => {
                         stmt.where_conjuncts.push(SqlExpr::Cmp {
-                            op: cmp_op(*op),
+                            op: *op,
                             lhs: Box::new(l),
                             rhs: Box::new(r),
                         });
@@ -394,7 +394,7 @@ impl<'a> Lowering<'a> {
                         };
                         stmt.items.push(SelectItem::new(
                             SqlExpr::Aggregate {
-                                func: agg_func(agg.func),
+                                func: agg.func,
                                 // Set-semantics aggregation: aggregate over the
                                 // distinct input values per group.
                                 distinct: arg.is_some(),
@@ -430,7 +430,7 @@ impl<'a> Lowering<'a> {
             DlExpr::Var(v) => bindings.get(v).cloned(),
             DlExpr::Const(c) => Some(SqlExpr::Literal(c.clone())),
             DlExpr::Arith { op, lhs, rhs } => Some(SqlExpr::Arith {
-                op: arith_op(*op),
+                op: *op,
                 lhs: Box::new(self.try_lower_scalar(lhs, bindings)?),
                 rhs: Box::new(self.try_lower_scalar(rhs, bindings)?),
             }),
@@ -465,37 +465,6 @@ fn binds_new_var<'e>(
         }
     }
     None
-}
-
-fn cmp_op(op: CmpOp) -> SqlCmpOp {
-    match op {
-        CmpOp::Eq => SqlCmpOp::Eq,
-        CmpOp::Neq => SqlCmpOp::Neq,
-        CmpOp::Lt => SqlCmpOp::Lt,
-        CmpOp::Le => SqlCmpOp::Le,
-        CmpOp::Gt => SqlCmpOp::Gt,
-        CmpOp::Ge => SqlCmpOp::Ge,
-    }
-}
-
-fn arith_op(op: raqlet_dlir::ArithOp) -> SqlArithOp {
-    match op {
-        raqlet_dlir::ArithOp::Add => SqlArithOp::Add,
-        raqlet_dlir::ArithOp::Sub => SqlArithOp::Sub,
-        raqlet_dlir::ArithOp::Mul => SqlArithOp::Mul,
-        raqlet_dlir::ArithOp::Div => SqlArithOp::Div,
-        raqlet_dlir::ArithOp::Mod => SqlArithOp::Mod,
-    }
-}
-
-fn agg_func(func: AggFunc) -> SqlAggFunc {
-    match func {
-        AggFunc::Count => SqlAggFunc::Count,
-        AggFunc::Sum => SqlAggFunc::Sum,
-        AggFunc::Min => SqlAggFunc::Min,
-        AggFunc::Max => SqlAggFunc::Max,
-        AggFunc::Avg => SqlAggFunc::Avg,
-    }
 }
 
 #[cfg(test)]

@@ -87,11 +87,8 @@ pub fn rule_to_souffle(rule: &Rule) -> String {
 
 fn aggregation_to_souffle(agg: &Aggregation, body: &[String]) -> String {
     let func = match agg.func {
-        raqlet_dlir::AggFunc::Count => "count",
-        raqlet_dlir::AggFunc::Sum => "sum",
-        raqlet_dlir::AggFunc::Min => "min",
-        raqlet_dlir::AggFunc::Max => "max",
         raqlet_dlir::AggFunc::Avg => "mean",
+        other => other.name(),
     };
     let inner = body.join(", ");
     match (&agg.input_var, agg.func) {
