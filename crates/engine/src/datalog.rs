@@ -1005,25 +1005,22 @@ fn apply_ready_constraints(envs: &mut Envs, plan: &RulePlan, pending: &mut Vec<u
                     _ => None,
                 };
                 if let Some((slot, expr)) = assign {
-                    // The expression is slot-ready, but evaluation can still
-                    // fail on a value error (division by zero). Drop such
-                    // environments — there is no derivation for them — so
-                    // every surviving environment binds the slot and the
-                    // all-envs-bind-the-same-slots invariant holds.
+                    // The expression is slot-ready; a value error (a NULL
+                    // operand, overflow, division by zero) makes it NULL.
                     // When a positive atom binds the slot too, the planner
                     // runs a comparison as an assignment, and `x = NULL` is
-                    // NULL whatever the atom holds: no derivation either.
+                    // NULL whatever the atom holds: no derivation. Either
+                    // way every surviving environment binds the slot, so
+                    // the all-envs-bind-the-same-slots invariant holds.
                     let compared = plan.body.iter().any(|e| {
                         let PlanElem::Atom(a) = e else { return false };
                         a.terms.iter().any(|t| matches!(t, PlanTerm::Slot(s) if *s == slot))
                     });
                     let dict = &plan.dict;
-                    envs.retain(|env| match eval_expr_cell(env, expr, dict) {
-                        Some(cell) if !(compared && cell == NULL_CELL) => {
-                            env[slot] = cell;
-                            true
-                        }
-                        _ => false,
+                    envs.retain(|env| {
+                        let cell = eval_expr_cell(env, expr, dict).unwrap_or(NULL_CELL);
+                        env[slot] = cell;
+                        !(compared && cell == NULL_CELL)
                     });
                     fired = true;
                     return false;
@@ -1991,45 +1988,66 @@ mod tests {
         assert!(result.relation("q").contains(&[Value::Int(0), Value::Int(11)]));
     }
 
-    #[test]
-    fn overflowing_arithmetic_drops_the_binding() {
-        // up(x, z) :- num(x), z = x + 1.  neg(x, z) :- num(x), z = x / -1.
-        let assign = |head: &str, op, rhs: i64| {
-            Rule::new(
-                Atom::with_vars(head, &["x", "z"]),
-                vec![
-                    atom("num", &["x"]),
-                    BodyElem::eq(
-                        DlExpr::var("z"),
-                        DlExpr::Arith {
-                            op,
-                            lhs: Box::new(DlExpr::var("x")),
-                            rhs: Box::new(DlExpr::int(rhs)),
-                        },
-                    ),
-                ],
-            )
+    /// `head(x, z) :- num(x), z = x <op> <rhs>.` over MAX, MIN and 5, or
+    /// `head(x) :- num(x), x <op> <rhs> <compare> 0.` with a comparison.
+    fn overflow_program(compare: Option<CmpOp>) -> (DlirProgram, Database) {
+        let rule = |head: &str, op, rhs: i64| {
+            let arith = DlExpr::Arith {
+                op,
+                lhs: Box::new(DlExpr::var("x")),
+                rhs: Box::new(DlExpr::int(rhs)),
+            };
+            let (vars, elem): (&[&str], _) = match compare {
+                None => (&["x", "z"], BodyElem::eq(DlExpr::var("z"), arith)),
+                Some(op) => (&["x"], BodyElem::Constraint { op, lhs: arith, rhs: DlExpr::int(0) }),
+            };
+            Rule::new(Atom::with_vars(head, vars), vec![atom("num", &["x"]), elem])
         };
         let mut p = DlirProgram::default();
-        p.add_rule(assign("up", raqlet_dlir::ArithOp::Add, 1));
-        p.add_rule(assign("neg", raqlet_dlir::ArithOp::Div, -1));
+        p.add_rule(rule("up", raqlet_dlir::ArithOp::Add, 1));
+        p.add_rule(rule("neg", raqlet_dlir::ArithOp::Div, -1));
         p.add_output("up");
         p.add_output("neg");
         let mut db = Database::new();
         for x in [i64::MAX, i64::MIN, 5] {
             db.insert_fact("num", vec![Value::Int(x)]).unwrap();
         }
-        let rows = |xs: &[(i64, i64)]| -> Vec<Vec<Value>> {
-            let mut rows: Vec<Vec<Value>> =
-                xs.iter().map(|&(x, z)| vec![Value::Int(x), Value::Int(z)]).collect();
+        (p, db)
+    }
+
+    #[test]
+    fn overflowing_arithmetic_drops_the_binding() {
+        // up(x) :- num(x), x + 1 != 0.  neg(x) :- num(x), x / -1 != 0.
+        // An overflowing comparison is NULL, so it derives nothing.
+        let (p, db) = overflow_program(Some(CmpOp::Neq));
+        let engine = DatalogEngine::new();
+        let ints = |xs: &[i64]| xs.iter().map(|&x| vec![Value::Int(x)]).collect::<Vec<_>>();
+        let up = engine.run_output(&p, &db, "up").unwrap();
+        assert_eq!(up.sorted(), ints(&[i64::MIN, 5]));
+        let neg = engine.run_output(&p, &db, "neg").unwrap();
+        assert_eq!(neg.sorted(), ints(&[5, i64::MAX]));
+    }
+
+    #[test]
+    fn overflowing_arithmetic_yields_null() {
+        // up(x, z) :- num(x), z = x + 1.  neg(x, z) :- num(x), z = x / -1.
+        // An overflowing assignment binds NULL, as the other engines project.
+        let (p, db) = overflow_program(None);
+        let rows = |xs: &[(i64, Option<i64>)]| -> Vec<Vec<Value>> {
+            let mut rows: Vec<Vec<Value>> = xs
+                .iter()
+                .map(|&(x, z)| vec![Value::Int(x), z.map_or(Value::Null, Value::Int)])
+                .collect();
             rows.sort();
             rows
         };
         let engine = DatalogEngine::new();
         let up = engine.run_output(&p, &db, "up").unwrap();
-        assert_eq!(up.sorted(), rows(&[(i64::MIN, i64::MIN + 1), (5, 6)]));
+        let expected = [(i64::MAX, None), (i64::MIN, Some(i64::MIN + 1)), (5, Some(6))];
+        assert_eq!(up.sorted(), rows(&expected));
         let neg = engine.run_output(&p, &db, "neg").unwrap();
-        assert_eq!(neg.sorted(), rows(&[(i64::MAX, -i64::MAX), (5, -5)]));
+        let expected = [(i64::MAX, Some(-i64::MAX)), (i64::MIN, None), (5, Some(-5))];
+        assert_eq!(neg.sorted(), rows(&expected));
     }
 
     #[test]

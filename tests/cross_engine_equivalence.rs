@@ -202,6 +202,32 @@ fn zero_hop_rows_are_returned_on_all_engines() {
     }
 }
 
+/// Variable-length paths are walks, not trails: a relationship may repeat,
+/// so a two-hop walk there and back over one `KNOWS` edge returns the source
+/// itself on every engine. (openCypher's relationship uniqueness would not.)
+#[test]
+fn var_length_paths_are_walks_not_trails() {
+    let (db, graph, person) = workload();
+    let raqlet = Raqlet::from_pg_schema(SNB_PG_SCHEMA).unwrap();
+    let options = CompileOptions::new(OptLevel::Full).with_param("personId", person);
+    let compiled = raqlet
+        .compile(
+            "MATCH (a:Person {id: $personId})-[:KNOWS*2..2]-(b:Person) \
+             RETURN DISTINCT b.id AS id",
+            &options,
+        )
+        .unwrap();
+    let source_row = vec![raqlet::Value::Int(person)];
+    for (engine, rows) in [
+        ("datalog", compiled.execute_datalog(&db).unwrap()),
+        ("duckdb-sim", compiled.execute_sql(&db, SqlProfile::Duck).unwrap()),
+        ("hyper-sim", compiled.execute_sql(&db, SqlProfile::Hyper).unwrap()),
+        ("graph", compiled.execute_graph(&graph).unwrap()),
+    ] {
+        assert!(rows.sorted().contains(&source_row), "{engine}: no walk back to the source");
+    }
+}
+
 #[test]
 fn sq3_direct_friends() {
     check_query("SQ3", raqlet_ldbc::SQ3.cypher, &[]);

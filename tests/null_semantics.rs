@@ -1,8 +1,8 @@
 //! NULL semantics agreement: openCypher's three-valued logic on every engine.
 //!
 //! A comparison with NULL is NULL, `<`/`<=`/`>`/`>=` across types are NULL,
-//! `AND`/`OR`/`NOT` are Kleene, `WHERE` keeps only true, and aggregates skip
-//! NULL. The LDBC data has no NULL, so the corpus cannot show a difference;
+//! `AND`/`OR`/`NOT` are Kleene, `WHERE` keeps only true, aggregates skip
+//! NULL, and arithmetic on NULL or past `i64` is NULL. The LDBC data has no NULL, so the corpus cannot show a difference;
 //! this fixture can. Three persons and KNOWS edges 1→2, 2→3 and 1→3;
 //! person 2 lacks `firstName` and `birthday`, person 3 lacks `firstName`.
 //! The relational copy stores the missing properties as NULL cells, the
@@ -141,6 +141,20 @@ const SHAPES: &[Shape] = &[
         name: "NULL projected",
         cypher: "MATCH (a:Person) RETURN a.id AS id, a.birthday AS b",
         expected: &[&[int(1), int(3)], &[int(2), NULL], &[int(3), int(7)]],
+    },
+    Shape {
+        // Overflow is NULL (3 and 7 times 2^62), and so is NULL times 2^62:
+        // each row keeps a NULL column.
+        name: "overflow projected",
+        cypher: "MATCH (a:Person) RETURN a.id AS id, a.birthday * 4611686018427387904 AS b",
+        expected: &[&[int(1), NULL], &[int(2), NULL], &[int(3), NULL]],
+    },
+    Shape {
+        // An overflowed comparison is NULL, and NULL OR true is true.
+        name: "overflow compared",
+        cypher: "MATCH (a:Person) WHERE a.birthday * 4611686018427387904 > 0 OR a.id = 3 \
+                 RETURN a.id AS id",
+        expected: &[&[int(3)]],
     },
 ];
 
