@@ -14,7 +14,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use raqlet_common::schema::RelationKind;
 use raqlet_common::{Value, ValueType};
 use raqlet_dlir::ir::{BodyElem, CmpOp, DlExpr, DlirProgram, Term};
-use raqlet_dlir::validate::bound_with_equalities;
 
 use crate::stats::EdbStats;
 
@@ -429,12 +428,6 @@ fn collect_reachability(program: &DlirProgram, flow: &mut Dataflow) {
             }
         }
     }
-}
-
-/// Variables of a rule bound by positive atoms or equality chains —
-/// re-exported helper from DLIR validation, shared by the lint suite.
-pub fn bound_variables_closed(rule: &raqlet_dlir::ir::Rule) -> BTreeSet<String> {
-    bound_with_equalities(rule)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use raqlet_dlir::{DepGraph, DlirProgram, Rule};
+use raqlet_dlir::{DepGraph, DlirProgram};
 
 /// Linearity classification of a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,30 +28,6 @@ impl Linearity {
     pub fn is_linear_or_nonrecursive(&self) -> bool {
         !matches!(self, Linearity::NonLinear { .. })
     }
-}
-
-/// Number of body atoms of `rule` that are in the same SCC as the head.
-pub fn recursive_atom_count(rule: &Rule, scc_of: &BTreeMap<String, usize>) -> usize {
-    let Some(head_scc) = scc_of.get(&rule.head.relation) else { return 0 };
-    rule.body
-        .iter()
-        .filter_map(|b| b.as_positive_atom())
-        .filter(|a| {
-            scc_of.get(&a.relation) == Some(head_scc) && is_scc_recursive(&a.relation, rule, scc_of)
-        })
-        .count()
-}
-
-/// A relation is considered recursive in this context if its SCC contains a
-/// cycle: either more than one member, or a direct self-dependency. We detect
-/// the latter conservatively via the rule under inspection: if the body atom
-/// names the head relation itself, it is recursive.
-fn is_scc_recursive(relation: &str, rule: &Rule, scc_of: &BTreeMap<String, usize>) -> bool {
-    if relation == rule.head.relation {
-        return true;
-    }
-    // Different relation in the same SCC => mutual recursion => recursive.
-    scc_of.get(relation) == scc_of.get(&rule.head.relation)
 }
 
 /// Classify the linearity of a DLIR program.

@@ -1,56 +1,4 @@
-//! Small newtype identifiers used across the IRs and engines.
-
-use std::fmt;
-
-macro_rules! define_id {
-    ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
-        $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord,
-        )]
-        pub struct $name(pub u32);
-
-        impl $name {
-            /// The raw index.
-            pub fn index(self) -> usize {
-                self.0 as usize
-            }
-        }
-
-        impl From<usize> for $name {
-            fn from(v: usize) -> Self {
-                $name(v as u32)
-            }
-        }
-
-        impl fmt::Display for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!($prefix, "{}"), self.0)
-            }
-        }
-    };
-}
-
-define_id!(
-    /// Identifies a node in a property graph store.
-    NodeId,
-    "n"
-);
-define_id!(
-    /// Identifies an edge in a property graph store.
-    EdgeId,
-    "e"
-);
-define_id!(
-    /// Identifies a rule inside a DLIR program.
-    RuleId,
-    "r"
-);
-define_id!(
-    /// Identifies a stratum produced by stratification.
-    StratumId,
-    "s"
-);
+//! Fresh identifiers for the compiler.
 
 /// A monotonically increasing generator for fresh identifiers, used by the
 /// compiler to invent variable names (e.g. the `x1` edge variable in Figure 3)
@@ -84,21 +32,6 @@ impl IdGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_display_with_prefix() {
-        assert_eq!(NodeId(3).to_string(), "n3");
-        assert_eq!(EdgeId(0).to_string(), "e0");
-        assert_eq!(RuleId(7).to_string(), "r7");
-        assert_eq!(StratumId(1).to_string(), "s1");
-    }
-
-    #[test]
-    fn ids_convert_from_usize() {
-        let id: NodeId = 5usize.into();
-        assert_eq!(id, NodeId(5));
-        assert_eq!(id.index(), 5);
-    }
 
     #[test]
     fn idgen_produces_sequential_fresh_names() {

@@ -21,7 +21,6 @@
 //! * [`stats`] — evaluation counters ([`stats::EvalStats`]) shared by the
 //!   engines and by guard-trip errors;
 //! * [`hash`] — the fast multiply-xor hasher used on the storage hot paths;
-//! * [`symbol`] — a string interner so relation/variable names compare by id;
 //! * [`rng`] — a tiny deterministic PRNG for data generators and tests;
 //! * [`diag`] — coded diagnostics ([`diag::Diagnostic`], `RAQxxx` codes,
 //!   allow/warn/deny severities) shared by DLIR validation and the
@@ -49,7 +48,6 @@ pub mod rng;
 pub mod schema;
 pub mod stats;
 pub mod support;
-pub mod symbol;
 pub mod types;
 pub mod value;
 
@@ -63,6 +61,5 @@ pub use rng::SplitMix64;
 pub use schema::{DlSchema, PgSchema};
 pub use stats::EvalStats;
 pub use support::{SupportChange, SupportCounts};
-pub use symbol::{Interner, Symbol};
 pub use types::ValueType;
 pub use value::Value;

@@ -175,12 +175,6 @@ impl PgSchema {
         self.nodes.iter().find(|n| n.type_name == type_name)
     }
 
-    /// Look up edge types by query label (`IS_LOCATED_IN`). Several edge
-    /// types can share a label between different endpoint pairs.
-    pub fn edges_by_label(&self, label: &str) -> Vec<&EdgeType> {
-        self.edges.iter().filter(|e| labels_match(&e.label, label)).collect()
-    }
-
     /// Look up the unique edge type with the given label and endpoints.
     pub fn edge_between(&self, label: &str, src_label: &str, dst_label: &str) -> Option<&EdgeType> {
         self.edges.iter().find(|e| {

@@ -86,16 +86,6 @@ impl Value {
         matches!(self, Value::Bool(true))
     }
 
-    /// Three-valued-logic aware equality used by the SQL engine: comparing
-    /// with NULL yields `None` (unknown).
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        if self.is_null() || other.is_null() {
-            None
-        } else {
-            Some(self == other)
-        }
-    }
-
     /// Total ordering used for deterministic output ordering and for
     /// MIN/MAX aggregation. Order: Null < Bool < Int < Str.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
@@ -190,14 +180,6 @@ mod tests {
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Int(1).as_str(), None);
         assert_eq!(Value::str("x").as_int(), None);
-    }
-
-    #[test]
-    fn sql_eq_is_three_valued() {
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(1)), Some(true));
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(2)), Some(false));
-        assert_eq!(Value::Int(1).sql_eq(&Value::Null), None);
-        assert_eq!(Value::Null.sql_eq(&Value::Null), None);
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl Raqlet {
         Ok(Raqlet { pg_schema, dl_schema })
     }
 
-    /// Build a compiler from an already-parsed PG-Schema.
-    pub fn from_parsed_schema(pg_schema: PgSchema) -> Result<Self> {
-        let dl_schema = raqlet_dlir::generate_dl_schema(&pg_schema)?;
-        Ok(Raqlet { pg_schema, dl_schema })
-    }
-
     /// The property-graph schema this compiler was built from.
     pub fn pg_schema(&self) -> &PgSchema {
         &self.pg_schema

@@ -12,14 +12,6 @@ pub struct Query {
 }
 
 impl Query {
-    /// The final `RETURN` clause, if present.
-    pub fn return_clause(&self) -> Option<&Projection> {
-        self.clauses.iter().rev().find_map(|c| match c {
-            Clause::Return(p) => Some(p),
-            _ => None,
-        })
-    }
-
     /// True if any clause uses an aggregation function.
     pub fn uses_aggregation(&self) -> bool {
         self.clauses.iter().any(|c| match c {
@@ -233,21 +225,6 @@ pub enum BinaryOp {
     Div,
     Mod,
     In,
-}
-
-impl BinaryOp {
-    /// True for the comparison operators.
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Eq
-                | BinaryOp::Neq
-                | BinaryOp::Lt
-                | BinaryOp::Le
-                | BinaryOp::Gt
-                | BinaryOp::Ge
-        )
-    }
 }
 
 /// Unary operators.

@@ -131,11 +131,6 @@ pub struct PreparedDatabase {
     views: Vec<StandingQuery>,
     /// Number of delta batches applied so far.
     epoch: u64,
-    /// Run the `raqcheck` analyzer (warn level) on every from-scratch plan
-    /// compile. Off by default — warm executions never re-lint either way.
-    lint_on_prepare: bool,
-    /// Findings from the most recent lint-on-prepare pass.
-    diagnostics: Vec<raqlet_analysis::Diagnostic>,
 }
 
 /// Fingerprint a program *exactly*: its rules and outputs (via the canonical
@@ -166,26 +161,7 @@ impl PreparedDatabase {
             plan_compiles: 0,
             views: Vec::new(),
             epoch: 0,
-            lint_on_prepare: false,
-            diagnostics: Vec::new(),
         }
-    }
-
-    /// Enable or disable automatic `raqcheck` analysis on plan compilation.
-    /// When enabled, every from-scratch compile (a plan-cache miss) runs the
-    /// analyzer at its default severities — statistics are collected from the
-    /// warm working set, so the advisory plan lints see real row counts — and
-    /// the findings land in [`PreparedDatabase::diagnostics`]. Findings never
-    /// block execution here; deny-level semantic errors already fail plan
-    /// compilation itself.
-    pub fn set_lint_on_prepare(&mut self, on: bool) {
-        self.lint_on_prepare = on;
-    }
-
-    /// Findings of the most recent lint-on-prepare pass (empty when linting
-    /// is disabled or every compiled program was clean).
-    pub fn diagnostics(&self) -> &[raqlet_analysis::Diagnostic] {
-        &self.diagnostics
     }
 
     /// The warm working set (extensional relations plus their persistent
@@ -325,10 +301,6 @@ impl PreparedDatabase {
         let fingerprint = program_fingerprint(program);
         if let Some(plan) = self.plans.get(&fingerprint) {
             return Ok(plan.clone());
-        }
-        if self.lint_on_prepare {
-            let stats = raqlet_analysis::EdbStats::collect(&self.db);
-            self.diagnostics = raqlet_analysis::RaqCheck::new().with_stats(stats).check(program);
         }
         let plan = Arc::new(ProgramPlan::prepare(program, self.db.dict())?);
         self.plan_compiles += 1;
