@@ -173,50 +173,13 @@ fn mixed_case_label_spellings_agree_across_engines() {
     }
 }
 
-/// Acceptance pin for the `needs_length` bug: `*0..` must return the
-/// zero-hop row (the source itself) on every engine.
-#[test]
-fn zero_hop_rows_are_returned_on_all_engines() {
+/// Run `cypher` with `$personId` bound on every engine and assert each
+/// returns the source person's own row.
+fn assert_every_engine_returns_the_source(what: &str, cypher: &str) {
     let (db, graph, person) = workload();
     let raqlet = Raqlet::from_pg_schema(SNB_PG_SCHEMA).unwrap();
     let options = CompileOptions::new(OptLevel::Full).with_param("personId", person);
-    let compiled = raqlet
-        .compile(
-            "MATCH (a:Person {id: $personId})-[:KNOWS*0..]->(b:Person) \
-             RETURN DISTINCT b.id AS id",
-            &options,
-        )
-        .unwrap();
-    let zero_hop_row = vec![raqlet::Value::Int(person)];
-    for (engine, rows) in [
-        ("datalog", compiled.execute_datalog(&db).unwrap()),
-        ("duckdb-sim", compiled.execute_sql(&db, SqlProfile::Duck).unwrap()),
-        ("hyper-sim", compiled.execute_sql(&db, SqlProfile::Hyper).unwrap()),
-        ("graph", compiled.execute_graph(&graph).unwrap()),
-    ] {
-        assert!(
-            rows.sorted().contains(&zero_hop_row),
-            "{engine}: zero-hop row {zero_hop_row:?} missing from {:?}",
-            rows.sorted()
-        );
-    }
-}
-
-/// Variable-length paths are walks, not trails: a relationship may repeat,
-/// so a two-hop walk there and back over one `KNOWS` edge returns the source
-/// itself on every engine. (openCypher's relationship uniqueness would not.)
-#[test]
-fn var_length_paths_are_walks_not_trails() {
-    let (db, graph, person) = workload();
-    let raqlet = Raqlet::from_pg_schema(SNB_PG_SCHEMA).unwrap();
-    let options = CompileOptions::new(OptLevel::Full).with_param("personId", person);
-    let compiled = raqlet
-        .compile(
-            "MATCH (a:Person {id: $personId})-[:KNOWS*2..2]-(b:Person) \
-             RETURN DISTINCT b.id AS id",
-            &options,
-        )
-        .unwrap();
+    let compiled = raqlet.compile(cypher, &options).unwrap();
     let source_row = vec![raqlet::Value::Int(person)];
     for (engine, rows) in [
         ("datalog", compiled.execute_datalog(&db).unwrap()),
@@ -224,8 +187,33 @@ fn var_length_paths_are_walks_not_trails() {
         ("hyper-sim", compiled.execute_sql(&db, SqlProfile::Hyper).unwrap()),
         ("graph", compiled.execute_graph(&graph).unwrap()),
     ] {
-        assert!(rows.sorted().contains(&source_row), "{engine}: no walk back to the source");
+        assert!(
+            rows.sorted().contains(&source_row),
+            "{engine}: {what} {source_row:?} missing from {:?}",
+            rows.sorted()
+        );
     }
+}
+
+/// Acceptance pin for the `needs_length` bug: `*0..` must return the
+/// zero-hop row (the source itself) on every engine.
+#[test]
+fn zero_hop_rows_are_returned_on_all_engines() {
+    assert_every_engine_returns_the_source(
+        "zero-hop row",
+        "MATCH (a:Person {id: $personId})-[:KNOWS*0..]->(b:Person) RETURN DISTINCT b.id AS id",
+    );
+}
+
+/// Variable-length paths are walks, not trails: a relationship may repeat,
+/// so a two-hop walk there and back over one `KNOWS` edge returns the source
+/// itself on every engine. (openCypher's relationship uniqueness would not.)
+#[test]
+fn var_length_paths_are_walks_not_trails() {
+    assert_every_engine_returns_the_source(
+        "walk back to the source",
+        "MATCH (a:Person {id: $personId})-[:KNOWS*2..2]-(b:Person) RETURN DISTINCT b.id AS id",
+    );
 }
 
 #[test]
