@@ -1795,10 +1795,11 @@ fn aggregate(plan: &RulePlan, agg: &PlanAgg, bindings: &Envs, dict: &ValueDict) 
     // Datalog set semantics, matching the SQL backend's `AGG(DISTINCT
     // input)` encoding. Groups are ordered by decoded value for
     // deterministic output.
+    use raqlet_common::hash::FxHashSet;
     use std::collections::BTreeMap;
     let mut groups: BTreeMap<Vec<Value>, (Vec<Cell>, Vec<Value>)> = BTreeMap::new();
-    let mut seen: raqlet_common::hash::FxHashSet<(Vec<Cell>, Cell)> =
-        raqlet_common::hash::FxHashSet::default();
+    let mut seen: FxHashSet<(Vec<Cell>, Cell)> = FxHashSet::default();
+    let mut seen_bindings: FxHashSet<&[Cell]> = FxHashSet::default();
     for env in bindings.rows() {
         let key_cells: Vec<Cell> = agg
             .group_by
@@ -1813,15 +1814,21 @@ fn aggregate(plan: &RulePlan, agg: &PlanAgg, bindings: &Envs, dict: &ValueDict) 
                         plan.var_names[s]
                     )));
                 }
+                if !seen.insert((key_cells.clone(), env[s])) {
+                    continue;
+                }
                 env[s]
             }
-            // COUNT(*) has no input; a constant stands in so dedup counts
-            // each group key once per distinct binding.
-            None => dict.encode_int(1),
+            // COUNT(*) counts the distinct bindings of the body, as
+            // Soufflé's `count : { body }` does: each one stands in as one
+            // non-NULL input.
+            None => {
+                if !seen_bindings.insert(env) {
+                    continue;
+                }
+                dict.encode_int(1)
+            }
         };
-        if !seen.insert((key_cells.clone(), input_cell)) {
-            continue;
-        }
         let decoded_key: Vec<Value> = key_cells.iter().map(|&c| dict.decode(c)).collect();
         let entry = groups.entry(decoded_key).or_insert_with(|| (key_cells, Vec::new()));
         entry.1.push(dict.decode(input_cell));

@@ -130,6 +130,12 @@ const SHAPES: &[Shape] = &[
         expected: &[&[int(1), int(0)], &[int(2), int(0)]],
     },
     Shape {
+        // count(*) counts rows, whatever properties they lack.
+        name: "count(*) counts rows",
+        cypher: "MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN a.id AS id, count(*) AS c",
+        expected: &[&[int(1), int(2)], &[int(2), int(1)]],
+    },
+    Shape {
         // Kleene OR: true OR NULL is true, NULL OR NULL is NULL.
         name: "disjunction with a NULL side",
         cypher: "MATCH (a:Person) WHERE a.firstName <> 'Bob' OR a.birthday > 5 \
