@@ -4,18 +4,14 @@
 //! implemented once, at the DLIR level, independent of the source query
 //! language:
 //!
-//! * [`mod@linearity`] — is every recursive rule *linear* (at most one recursive
-//!   atom in its body)? Backends limited to recursive CTEs require this.
-//! * [`mutual`] — does the program contain mutually recursive predicates
-//!   (an SCC with more than one member)? RDBMS backends reject these.
-//! * [`mod@monotonicity`] — is the program monotonic under set inclusion
-//!   (no negation, no aggregation over a recursive predicate)?
-//! * [`mod@termination`] — may the program fail to terminate (value-inventing
-//!   arithmetic in recursive rules without a bound or a lattice annotation)?
-//! * [`report`] — a combined [`AnalysisReport`] plus backend capability
-//!   checks used by the compiler driver to reject or warn early.
+//! * [`report`] — [`analyze`] answers the recursion questions in one pass
+//!   over one dependency graph and one stratification: [`Linearity`], mutual
+//!   recursion, [`Monotonicity`], [`TerminationRisk`]s and the SCC and
+//!   stratum counts, combined in an [`AnalysisReport`]. The report warns; it
+//!   refuses nothing. Each backend refuses what it cannot run where it
+//!   compiles the program (the SQL lowering, the Datalog engine).
 //!
-//! On top of these sits **raqcheck**, the static-analysis and lint layer:
+//! Beside the report sits **raqcheck**, the static-analysis and lint layer:
 //!
 //! * [`dataflow`] — abstract interpretation over DLIR: per-column
 //!   type/constant lattice inference, emptiness propagation, reachability;
@@ -35,23 +31,15 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod dataflow;
-pub mod linearity;
 pub mod lints;
-pub mod monotonicity;
-pub mod mutual;
 pub mod raqcheck;
 pub mod report;
 pub mod stats;
-pub mod termination;
 
 pub use dataflow::{analyze_dataflow, AbsVal, Dataflow, DeadReason, TypeConflict};
-pub use linearity::{is_linear, linearity, Linearity};
-pub use monotonicity::{is_monotonic, monotonicity, Monotonicity};
-pub use mutual::{has_mutual_recursion, mutual_recursion_groups};
 pub use raqcheck::RaqCheck;
-pub use report::{analyze, check_backend, AnalysisReport, BackendCapabilities};
+pub use report::{analyze, AnalysisReport, Linearity, Monotonicity, TerminationRisk};
 pub use stats::{EdbStats, RelationStats};
-pub use termination::{termination, TerminationRisk};
 
 // Re-export the diagnostic currency so analyzer users need only this crate.
 pub use raqlet_common::diag::{DiagCode, Diagnostic, Severity, SeverityConfig};

@@ -46,12 +46,12 @@ pub enum RaqletError {
     /// A semantic check failed during lowering (type mismatch, unbound
     /// variable, unsafe rule, ...).
     Semantic(String),
-    /// Static analysis rejected the query for the chosen backend
-    /// (e.g. mutual recursion targeted at a recursive-CTE backend).
+    /// A backend cannot express the query: the SQL lowering refuses mutual
+    /// and non-linear recursion, which `WITH RECURSIVE` cannot express.
     BackendRejected {
         /// The backend that cannot run the query.
         backend: String,
-        /// Why the capability check failed.
+        /// Why the backend cannot run it.
         reason: String,
     },
     /// An optimization pass detected an internal inconsistency.

@@ -31,8 +31,8 @@
 use std::collections::HashMap;
 
 pub use raqlet_analysis::{
-    analyze, check_backend, AnalysisReport, BackendCapabilities, DiagCode, Diagnostic, EdbStats,
-    Linearity, Monotonicity, RaqCheck, Severity, SeverityConfig,
+    analyze, AnalysisReport, DiagCode, Diagnostic, EdbStats, Linearity, Monotonicity, RaqCheck,
+    Severity, SeverityConfig,
 };
 pub use raqlet_common::{
     CancellationToken, Database, EvalStats, QueryGuard, RaqletError, Relation, Result, Value,
@@ -115,9 +115,6 @@ impl Raqlet {
             raqlet_dlir::lower_pgir_with_schema(&self.pg_schema, self.dl_schema.clone(), &pgir)?;
         raqlet_dlir::validate(&lowered.program)?;
 
-        // Static analysis on the unoptimized program.
-        let analysis = raqlet_analysis::analyze(&lowered.program);
-
         // Optimization for both backend families. The Datalog-targeted
         // program (also used for the Soufflé unparse) keeps every pass; the
         // SQL-targeted one skips magic sets, which are pathological under
@@ -133,7 +130,6 @@ impl Raqlet {
             unoptimized: lowered.program,
             optimized,
             sql_optimized,
-            analysis,
             output: lowered.output,
             output_columns: lowered.output_columns,
             sql_options: options.sql.clone(),
@@ -141,8 +137,8 @@ impl Raqlet {
     }
 }
 
-/// A fully compiled query: every IR plus analysis results, ready to be
-/// unparsed for an external engine or executed on the bundled ones.
+/// A fully compiled query: every IR, ready to be unparsed for an external
+/// engine, executed on the bundled ones, or analysed.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// The original Cypher text.
@@ -159,8 +155,6 @@ pub struct CompiledQuery {
     /// run as [`CompiledQuery::optimized`], and equals it, unless magic sets
     /// fired there (see [`raqlet_opt::optimize_for_backends`]).
     pub sql_optimized: OptimizedProgram,
-    /// The static-analysis report (Section 4).
-    pub analysis: AnalysisReport,
     /// Name of the output relation (`Return`).
     pub output: String,
     /// Output column names in order.
@@ -185,7 +179,9 @@ impl CompiledQuery {
     }
 
     /// The SQIR form of the optimized program (Figure 3e's structure),
-    /// lowered from the SQL-targeted optimization.
+    /// lowered from the SQL-targeted optimization. This is where SQL's
+    /// limits are checked: mutual, non-linear and non-stratifiable
+    /// recursion are refused here (see [`raqlet_sqir::lower_to_sqir`]).
     pub fn sqir(&self) -> Result<SqirQuery> {
         raqlet_sqir::lower_to_sqir(self.dlir_for_sql(), &self.output, &self.sql_options)
     }
@@ -200,9 +196,12 @@ impl CompiledQuery {
         raqlet_unparse::to_cypher(&self.pgir)
     }
 
-    /// Check the compiled query against a backend's capabilities.
-    pub fn check_backend(&self, caps: &BackendCapabilities) -> Result<AnalysisReport> {
-        raqlet_analysis::check_backend(self.dlir(), caps)
+    /// The static-analysis report (Section 4) of the unoptimized program,
+    /// computed on each call: compiling does not analyse. The report
+    /// warns; the backends refuse what they cannot run when they compile
+    /// the program (see [`CompiledQuery::sqir`]).
+    pub fn analysis(&self) -> AnalysisReport {
+        raqlet_analysis::analyze(&self.unoptimized)
     }
 
     /// Run the `raqcheck` static analyzer over the unoptimized program with
@@ -375,7 +374,7 @@ mod tests {
         assert!(compiled.to_souffle().contains(".output Return"));
         assert!(compiled.to_sql(SqlDialect::DuckDb).unwrap().contains("SELECT DISTINCT"));
         assert!(compiled.to_cypher().contains("MATCH"));
-        assert!(!compiled.analysis.recursive);
+        assert!(!compiled.analysis().recursive);
     }
 
     #[test]
@@ -421,8 +420,9 @@ mod tests {
         let raqlet = Raqlet::from_pg_schema(SCHEMA).unwrap();
         let query = "MATCH (a:Person {id: 42})-[:KNOWS*]->(b:Person) RETURN b.id AS id";
         let compiled = raqlet.compile(query, &CompileOptions::new(OptLevel::Basic)).unwrap();
-        assert!(compiled.analysis.recursive);
-        assert_eq!(compiled.analysis.linearity, Linearity::Linear);
+        let analysis = compiled.analysis();
+        assert!(analysis.recursive);
+        assert_eq!(analysis.linearity, Linearity::Linear);
         let rows = compiled.execute_datalog(&sample_db()).unwrap();
         assert_eq!(rows.sorted(), vec![vec![Value::Int(43)]]);
     }
@@ -442,8 +442,10 @@ mod tests {
         let raqlet = Raqlet::from_pg_schema(SCHEMA).unwrap();
         let query = "MATCH (a:Person {id: 42})-[:KNOWS*]->(b:Person) RETURN b.id AS id";
         let compiled = raqlet.compile(query, &CompileOptions::new(OptLevel::None)).unwrap();
-        assert!(compiled.check_backend(&BackendCapabilities::souffle_like()).is_ok());
-        assert!(compiled.check_backend(&BackendCapabilities::recursive_sql()).is_ok());
+        // Linear recursion is within every backend's limits: SQL lowers it
+        // and the Datalog engine runs it.
+        assert!(compiled.sqir().is_ok());
+        assert!(compiled.execute_datalog(&sample_db()).is_ok());
     }
 
     #[test]

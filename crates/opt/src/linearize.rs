@@ -88,7 +88,7 @@ pub fn linearize(program: &mut DlirProgram) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raqlet_analysis::{linearity, Linearity};
+    use raqlet_analysis::{analyze, Linearity};
     use raqlet_dlir::{Atom, Term};
 
     fn atom(name: &str, vars: &[&str]) -> BodyElem {
@@ -111,7 +111,7 @@ mod tests {
         let mut out = nonlinear_tc();
         let changed = linearize(&mut out);
         assert!(changed);
-        assert_eq!(linearity(&out), Linearity::Linear);
+        assert_eq!(analyze(&out).linearity, Linearity::Linear);
         // The rewritten recursive rule joins tc with the base relation.
         let recursive =
             out.rules_for("tc").into_iter().find(|r| r.count_positive("tc") == 1).unwrap();
@@ -152,7 +152,7 @@ mod tests {
         assert!(changed);
         // 2 base rules + 2 linearized recursive rules.
         assert_eq!(out.rules_for("tc").len(), 4);
-        assert_eq!(linearity(&out), Linearity::Linear);
+        assert_eq!(analyze(&out).linearity, Linearity::Linear);
     }
 
     #[test]

@@ -295,7 +295,7 @@ mod tests {
         assert!(full.applied_passes.contains(&"linearization".to_string()));
         assert!(full.applied_passes.contains(&"magic-sets".to_string()));
         assert!(full.program.idb_names().iter().any(|n| n.starts_with("Magic_")));
-        assert!(raqlet_analysis::is_linear(&full.program));
+        assert!(raqlet_analysis::analyze(&full.program).linearity.is_linear_or_nonrecursive());
     }
 
     #[test]

@@ -23,15 +23,23 @@
 //!   with `RaqletError::RecursionDepthExceeded` when that round reaches a
 //!   group the bounded rows missed, and the emitted SQL states the
 //!   assumption in a comment.
-//! * **Backend limits** — mutual recursion and non-linear recursion cannot be
-//!   expressed with `WITH RECURSIVE`; the lowering rejects them with a
-//!   `BackendRejected` error, mirroring the paper's static analysis story.
+//! * **Empty outputs** — when the optimizer proves the output relation empty
+//!   it drops every rule deriving it; the output then lowers to a SELECT of
+//!   `NULL` columns that no row passes (`WHERE (1 = 0)`), so the query still
+//!   returns the declared columns and no row.
+//! * **Backend limits** — this is the one place a SQL backend's limits are
+//!   checked. Mutual recursion and non-linear recursion cannot be expressed
+//!   with `WITH RECURSIVE`; the lowering rejects them with a
+//!   `BackendRejected` error. A program that does not stratify (negation or
+//!   aggregation through recursion) is refused with the error of
+//!   [`raqlet_dlir::stratify()`], the same RAQ106 the Datalog engine returns.
 
 use std::collections::HashMap;
 
-use raqlet_common::{RaqletError, Result};
+use raqlet_common::schema::RelationKind;
+use raqlet_common::{RaqletError, Result, Value};
 use raqlet_dlir::{
-    AggFunc, BodyElem, CmpOp, DepGraph, DlExpr, DlirProgram, LatticeMerge, Rule, Term,
+    stratify, AggFunc, BodyElem, CmpOp, DepGraph, DlExpr, DlirProgram, LatticeMerge, Rule, Term,
 };
 
 use crate::ir::*;
@@ -51,12 +59,15 @@ impl Default for SqlLowerOptions {
 }
 
 /// Lower a DLIR program to SQIR. `output` names the relation the final
-/// SELECT reads from (usually the program's single `.output`).
+/// SELECT reads from (usually the program's single `.output`). Fails on a
+/// program beyond recursive SQL: one that does not stratify, or that uses
+/// mutual or non-linear recursion (see the module documentation).
 pub fn lower_to_sqir(
     program: &DlirProgram,
     output: &str,
     options: &SqlLowerOptions,
 ) -> Result<SqirQuery> {
+    stratify(program)?;
     Lowering { program, options, graph: DepGraph::build(program) }.run(output)
 }
 
@@ -69,9 +80,7 @@ struct Lowering<'a> {
 impl<'a> Lowering<'a> {
     fn run(&self, output: &str) -> Result<SqirQuery> {
         if !self.program.is_idb(output) {
-            return Err(RaqletError::semantic(format!(
-                "output relation `{output}` is not derived by any rule"
-            )));
+            return self.empty_output(output);
         }
 
         // Order IDBs by the dependency graph's SCC order (dependencies first).
@@ -123,6 +132,28 @@ impl<'a> Lowering<'a> {
         };
 
         Ok(SqirQuery { ctes, final_select, needs_recursive })
+    }
+
+    /// The query of a declared IDB output no rule derives: one SELECT of
+    /// `NULL` per column whose WHERE no row passes.
+    fn empty_output(&self, output: &str) -> Result<SqirQuery> {
+        let Some(decl) = self.program.schema.get(output).filter(|d| d.kind == RelationKind::Idb)
+        else {
+            return Err(RaqletError::semantic(format!(
+                "output relation `{output}` is not derived by any rule"
+            )));
+        };
+        let final_select = SelectStmt {
+            distinct: true,
+            items: decl
+                .columns
+                .iter()
+                .map(|c| SelectItem::new(SqlExpr::Literal(Value::Null), c.name.clone()))
+                .collect(),
+            where_conjuncts: vec![SqlExpr::eq(SqlExpr::int(1), SqlExpr::int(0))],
+            ..Default::default()
+        };
+        Ok(SqirQuery { ctes: Vec::new(), final_select, needs_recursive: false })
     }
 
     /// Column names of a relation (from the schema, or synthesised).
@@ -626,6 +657,34 @@ mod tests {
         p.add_output("even");
         let err = lower_to_sqir(&p, "even", &SqlLowerOptions::default()).unwrap_err();
         assert!(matches!(err, RaqletError::BackendRejected { .. }));
+    }
+
+    #[test]
+    fn negation_through_recursion_is_refused_with_raq106() {
+        // p(x) :- base(x), !p(x).
+        let mut p = DlirProgram::default();
+        p.add_rule(Rule::new(
+            Atom::with_vars("p", &["x"]),
+            vec![atom("base", &["x"]), BodyElem::Negated(Atom::with_vars("p", &["x"]))],
+        ));
+        p.add_output("p");
+        let err = lower_to_sqir(&p, "p", &SqlLowerOptions::default()).unwrap_err();
+        assert_eq!(err, stratify(&p).unwrap_err());
+        assert!(err.to_string().contains("RAQ106"), "{err}");
+    }
+
+    #[test]
+    fn an_output_no_rule_derives_lowers_to_an_empty_select() {
+        let mut p = tc_program();
+        p.rules.clear();
+        let q = lower_to_sqir(&p, "tc", &SqlLowerOptions::default()).unwrap();
+        assert!(q.ctes.is_empty());
+        assert!(!q.needs_recursive);
+        assert_eq!(q.final_select.output_columns(), vec!["x", "y"]);
+        assert!(q.final_select.from.is_empty());
+        assert_eq!(q.final_select.where_conjuncts[0].to_string(), "(1 = 0)");
+        // An EDB is not an output the program could have derived.
+        assert!(lower_to_sqir(&p, "edge", &SqlLowerOptions::default()).is_err());
     }
 
     #[test]

@@ -201,6 +201,27 @@ mod tests {
     }
 
     #[test]
+    fn an_output_no_rule_derives_is_a_select_no_row_passes() {
+        let mut p = DlirProgram::new(edge_schema());
+        p.schema.upsert(RelationDecl::new(
+            "Return",
+            vec![Column::new("id", ValueType::Int), Column::new("name", ValueType::Text)],
+            RelationKind::Idb,
+        ));
+        p.add_output("Return");
+        let q = lower_to_sqir(&p, "Return", &SqlLowerOptions::default()).unwrap();
+        for dialect in
+            [SqlDialect::Generic, SqlDialect::DuckDb, SqlDialect::Hyper, SqlDialect::Postgres]
+        {
+            assert_eq!(
+                to_sql(&q, dialect),
+                "SELECT DISTINCT NULL AS id, NULL AS name\nWHERE (1 = 0)",
+                "{dialect:?}"
+            );
+        }
+    }
+
+    #[test]
     fn dialect_names() {
         assert_eq!(SqlDialect::DuckDb.name(), "duckdb");
         assert_eq!(SqlDialect::Hyper.name(), "hyper");

@@ -20,7 +20,7 @@ fn main() -> raqlet::Result<()> {
 
     println!("== PGIR ==\n{}", compiled.pgir);
     println!("== static analysis ==");
-    for line in compiled.analysis.summary() {
+    for line in compiled.analysis().summary() {
         println!("  {line}");
     }
     println!("\n== DLIR (unoptimized) ==\n{}", compiled.unoptimized);

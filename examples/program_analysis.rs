@@ -11,7 +11,7 @@
 //! cargo run --example program_analysis
 //! ```
 
-use raqlet::{BackendCapabilities, CompileOptions, Database, OptLevel, Raqlet, SqlProfile, Value};
+use raqlet::{CompileOptions, Database, OptLevel, Raqlet, SqlProfile, Value};
 
 fn main() -> raqlet::Result<()> {
     let schema = "CREATE GRAPH {
@@ -50,7 +50,7 @@ fn main() -> raqlet::Result<()> {
     let compiled = raqlet.compile(reachable_query, &CompileOptions::new(OptLevel::Full))?;
 
     println!("== static analysis report ==");
-    for line in compiled.analysis.summary() {
+    for line in compiled.analysis().summary() {
         println!("  {line}");
     }
     println!("\n== generated Soufflé program ==\n{}", compiled.to_souffle());
@@ -58,8 +58,9 @@ fn main() -> raqlet::Result<()> {
     let reachable = compiled.execute_datalog(&db)?;
     println!("functions reachable from main (datalog engine):\n{reachable}");
 
-    // The same program runs on the SQL engine since the recursion is linear.
-    compiled.check_backend(&BackendCapabilities::recursive_sql())?;
+    // The same program runs on the SQL engine since the recursion is linear:
+    // `execute_sql` refuses what `WITH RECURSIVE` cannot express (mutual,
+    // non-linear or non-stratifiable recursion) before it runs anything.
     let reachable_sql = compiled.execute_sql(&db, SqlProfile::Duck)?;
     assert_eq!(reachable, reachable_sql);
     println!("sql engine agrees ✔");

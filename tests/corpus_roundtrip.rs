@@ -120,10 +120,11 @@ fn corpus_recursive_flags_match_the_compiled_analysis() {
         let compiled = raqlet
             .compile(q.cypher, &options)
             .unwrap_or_else(|e| panic!("{} does not compile: {e}", q.name));
+        let recursive = compiled.analysis().recursive;
         assert_eq!(
-            compiled.analysis.recursive, q.recursive,
-            "{}: corpus says recursive={}, analysis says {}",
-            q.name, q.recursive, compiled.analysis.recursive
+            recursive, q.recursive,
+            "{}: corpus says recursive={}, analysis says {recursive}",
+            q.name, q.recursive
         );
     }
 }

@@ -3,7 +3,13 @@
 //! profiles, and the property-graph engine — Raqlet's "golden reference"
 //! claim exercised on the LDBC-like workload.
 
-use raqlet::{CompileOptions, OptLevel, Raqlet, SqlProfile};
+use raqlet::{
+    CompileOptions, Database, DatalogEngine, DlirProgram, OptLevel, Raqlet, SqlEngine,
+    SqlLowerOptions, SqlProfile, TableCatalog, Value,
+};
+use raqlet_common::schema::{Column, DlSchema, RelationDecl, RelationKind};
+use raqlet_common::ValueType;
+use raqlet_dlir::{Atom, BodyElem, Rule};
 use raqlet_ldbc::{generate, to_database, to_property_graph, GeneratorConfig, SNB_PG_SCHEMA};
 
 fn workload() -> (raqlet::Database, raqlet::PropertyGraph, i64) {
@@ -362,5 +368,37 @@ fn optimization_levels_never_change_results() {
         }
         assert_eq!(results[0], results[1], "{}: None vs Basic", query.name);
         assert_eq!(results[1], results[2], "{}: Basic vs Full", query.name);
+    }
+}
+
+/// `p(x) :- base(x), !p(x)` has no stratification: every engine refuses it
+/// with the same RAQ106 error, rather than one of them returning rows.
+#[test]
+fn negation_through_recursion_is_refused_on_every_engine() {
+    let mut schema = DlSchema::new();
+    for (name, kind) in [("base", RelationKind::BaseTable), ("p", RelationKind::Idb)] {
+        schema.add(RelationDecl::new(name, vec![Column::new("x", ValueType::Int)], kind)).unwrap();
+    }
+    let mut program = DlirProgram::new(schema);
+    program.add_rule(Rule::new(
+        Atom::with_vars("p", &["x"]),
+        vec![
+            BodyElem::Atom(Atom::with_vars("base", &["x"])),
+            BodyElem::Negated(Atom::with_vars("p", &["x"])),
+        ],
+    ));
+    program.add_output("p");
+    let mut db = Database::new();
+    for x in 0..3 {
+        db.insert_fact("base", vec![Value::Int(x)]).unwrap();
+    }
+
+    let datalog = DatalogEngine::new().run_output(&program, &db, "p").unwrap_err();
+    assert!(datalog.to_string().contains("RAQ106"), "{datalog}");
+    let catalog = TableCatalog::from_schema(&program.schema);
+    for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
+        let sql = raqlet_sqir::lower_to_sqir(&program, "p", &SqlLowerOptions::default())
+            .and_then(|query| SqlEngine { profile }.execute(&query, &db, &catalog));
+        assert_eq!(sql.map(|result| result.rows.sorted()), Err(datalog.clone()), "{profile:?}");
     }
 }

@@ -111,6 +111,20 @@ const SHAPES: &[Shape] = &[
         expected: &[&[int(1)]],
     },
     Shape {
+        // Equality with the NULL literal is NULL for every row, so the
+        // optimizer proves the output empty at Full.
+        name: "equal to NULL",
+        cypher: "MATCH (a:Person) WHERE a.birthday = null RETURN a.id AS id",
+        expected: &[],
+    },
+    Shape {
+        // A constant-false WHERE: no row, and at Full no rule derives the
+        // output.
+        name: "constant-false comparison",
+        cypher: "MATCH (a:Person) WHERE 1 = 2 RETURN a.id AS id",
+        expected: &[],
+    },
+    Shape {
         // A string and an integer do not order: 'Alice' < 5 is NULL.
         name: "cross-type comparison",
         cypher: "MATCH (a:Person) WHERE a.firstName < 5 RETURN a.id AS id",

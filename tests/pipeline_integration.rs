@@ -90,7 +90,7 @@ fn ldbc_queries_compile_at_every_optimization_level() {
                 compiled.err()
             );
             let compiled = compiled.unwrap();
-            assert_eq!(compiled.analysis.recursive, query.recursive, "query {}", query.name);
+            assert_eq!(compiled.analysis().recursive, query.recursive, "query {}", query.name);
         }
     }
 }
@@ -113,10 +113,11 @@ fn compiled_query_exposes_the_analysis_report() {
         .with_param("personId", 1000i64)
         .with_param("firstName", "Alice");
     let compiled = raqlet.compile(raqlet_ldbc::CQ1.cypher, &options).unwrap();
-    assert!(compiled.analysis.recursive);
-    assert!(compiled.analysis.linearity.is_linear_or_nonrecursive());
-    assert!(compiled.analysis.stratum_count.is_some());
-    assert!(compiled.analysis.scc_count >= 1);
-    assert!(compiled.analysis.looping_scc_count >= 1, "CQ1 is recursive");
-    assert_eq!(compiled.analysis.summary().len(), 7);
+    let analysis = compiled.analysis();
+    assert!(analysis.recursive);
+    assert!(analysis.linearity.is_linear_or_nonrecursive());
+    assert!(analysis.stratum_count.is_some());
+    assert!(analysis.scc_count >= 1);
+    assert!(analysis.looping_scc_count >= 1, "CQ1 is recursive");
+    assert_eq!(analysis.summary().len(), 7);
 }
