@@ -371,6 +371,77 @@ fn optimization_levels_never_change_results() {
     }
 }
 
+/// The bound-source sweep: the four recursive corpus queries whose bound
+/// source is pushed into the recursion by magic sets (CQ1, REACH, CQ13,
+/// CQ13B), compiled at `OptLevel::Full` and bound in turn to every person of
+/// a small network, to an id with no person, and to a person with no
+/// outgoing KNOWS edge. CQ1 also sweeps every first name of the network, and
+/// CQ13 targets the source itself, the next person and the id with no
+/// person. Both SQL profiles must return exactly the rows of the
+/// Datalog engine and of the graph engine, whatever program SQL is handed.
+#[test]
+fn bound_source_sweep_agrees_on_every_engine() {
+    use raqlet_ldbc::queries::{CQ1, CQ13, CQ13_CITIES, REACHABILITY};
+
+    let network = generate(&GeneratorConfig { scale: 0.1, seed: 42 });
+    let (db, graph) = (to_database(&network), to_property_graph(&network));
+    let raqlet = Raqlet::from_pg_schema(SNB_PG_SCHEMA).unwrap();
+
+    let persons: Vec<i64> = network.persons.iter().map(|p| p.id).collect();
+    let no_person = persons.iter().max().unwrap() + 1;
+    let no_outgoing = persons
+        .iter()
+        .copied()
+        .find(|p| network.knows.iter().all(|(from, _, _)| from != p))
+        .expect("some person has no outgoing KNOWS edge");
+    assert!(network.knows.iter().any(|(_, to, _)| *to == no_outgoing), "it has incoming ones");
+    let sources: Vec<i64> = persons.iter().copied().chain([no_person]).collect();
+    let mut first_names: Vec<&str> =
+        network.persons.iter().map(|p| p.first_name.as_str()).collect();
+    first_names.sort_unstable();
+    first_names.dedup();
+
+    let mut cases: Vec<(&str, &str, CompileOptions)> = Vec::new();
+    for &source in &sources {
+        let bound = || CompileOptions::new(OptLevel::Full).with_param("personId", source);
+        cases.push((REACHABILITY.name, REACHABILITY.cypher, bound()));
+        cases.push((CQ13_CITIES.name, CQ13_CITIES.cypher, bound()));
+        for name in &first_names {
+            cases.push((CQ1.name, CQ1.cypher, bound().with_param("firstName", *name)));
+        }
+        let next =
+            persons[(persons.iter().position(|&p| p == source).unwrap_or(0) + 1) % persons.len()];
+        for target in [source, next, no_person] {
+            cases.push((CQ13.name, CQ13.cypher, bound().with_param("otherId", target)));
+        }
+    }
+
+    let mut non_empty = std::collections::BTreeMap::<&str, usize>::new();
+    for (name, cypher, options) in &cases {
+        let label = format!("{name} {:?}", options.params);
+        let compiled = raqlet.compile(cypher, options).unwrap();
+        let datalog = compiled.execute_datalog(&db).unwrap().sorted();
+        let graph_rows = compiled.execute_graph(&graph).unwrap().sorted();
+        assert_eq!(datalog, graph_rows, "{label}: datalog vs graph");
+        for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
+            let sql = compiled.execute_sql(&db, profile).unwrap().sorted();
+            assert_eq!(sql, datalog, "{label}: {profile:?} vs datalog");
+        }
+        if options.params["personId"] == Value::Int(no_person) {
+            assert!(datalog.is_empty(), "{label}: an id with no person binds no rows");
+        }
+        *non_empty.entry(name).or_default() += usize::from(!datalog.is_empty());
+    }
+    // The engines must not agree on nothing: every query answers for most
+    // of the sources.
+    for name in [CQ1.name, REACHABILITY.name, CQ13.name, CQ13_CITIES.name] {
+        assert!(
+            non_empty.get(name).copied().unwrap_or(0) >= persons.len(),
+            "{name}: {non_empty:?}"
+        );
+    }
+}
+
 /// `p(x) :- base(x), !p(x)` has no stratification: every engine refuses it
 /// with the same RAQ106 error, rather than one of them returning rows.
 #[test]
