@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use raqlet_dlir::{stratify, BodyElem, CmpOp, DepGraph, DlExpr, DlirProgram, LatticeMerge};
+use raqlet_dlir::{stratify_with, BodyElem, CmpOp, DepGraph, DlExpr, DlirProgram, LatticeMerge};
 
 /// Linearity classification of a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,7 +188,7 @@ pub fn analyze(program: &DlirProgram) -> AnalysisReport {
         Linearity::NonLinear { offending_rules }
     };
 
-    let strata = stratify(program);
+    let strata = stratify_with(program, &graph);
     let monotonicity = match &strata {
         Err(e) => Monotonicity::NonMonotonic { reason: e.to_string() },
         Ok(_)

@@ -33,6 +33,6 @@ pub use depgraph::{DepGraph, DepKind, SccGroup};
 pub use ir::*;
 pub use lower::{lower_pgir, lower_pgir_with_schema, LoweredQuery};
 pub use schema_gen::{edge_label_to_snake, generate_dl_schema};
-pub use stratify::{stratify, Stratification};
+pub use stratify::{stratify, stratify_with, Stratification};
 pub use subst::instantiate;
 pub use validate::{bound_with_equalities, check_program, validate};

@@ -49,7 +49,13 @@ impl Stratification {
 
 /// Compute a stratification, or explain why none exists.
 pub fn stratify(program: &DlirProgram) -> Result<Stratification> {
-    let graph = DepGraph::build(program);
+    stratify_with(program, &DepGraph::build(program))
+}
+
+/// [`stratify`] over the dependency graph of `program` the caller has
+/// already built, so that a caller which needs the graph anyway builds it
+/// once.
+pub fn stratify_with(program: &DlirProgram, graph: &DepGraph) -> Result<Stratification> {
     let sccs = graph.sccs();
 
     // Map each relation to its SCC index (SCCs are already in dependency

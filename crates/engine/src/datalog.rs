@@ -62,7 +62,8 @@ use raqlet_common::error::panic_message;
 use raqlet_common::guard::{CheckPoint, QueryGuard, JOIN_SCAN_PERIOD};
 use raqlet_common::{Database, RaqletError, Relation, Result, Value};
 use raqlet_dlir::{
-    stratify, Aggregation, Atom, BodyElem, DepGraph, DlExpr, DlirProgram, LatticeMerge, Rule, Term,
+    stratify_with, Aggregation, Atom, BodyElem, DepGraph, DlExpr, DlirProgram, LatticeMerge, Rule,
+    Term,
 };
 
 /// Fixpoint evaluation strategy.
@@ -1436,8 +1437,8 @@ impl ProgramPlan {
         dict: &std::sync::Arc<ValueDict>,
     ) -> Result<ProgramPlan> {
         raqlet_dlir::validate(program)?;
-        let stratification = stratify(program)?;
         let graph = DepGraph::build(program);
+        let stratification = stratify_with(program, &graph)?;
 
         let idbs: Vec<(String, usize)> = program
             .idb_names()

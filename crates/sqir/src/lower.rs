@@ -39,7 +39,8 @@ use std::collections::HashMap;
 use raqlet_common::schema::RelationKind;
 use raqlet_common::{RaqletError, Result, Value};
 use raqlet_dlir::{
-    stratify, AggFunc, BodyElem, CmpOp, DepGraph, DlExpr, DlirProgram, LatticeMerge, Rule, Term,
+    stratify_with, AggFunc, BodyElem, CmpOp, DepGraph, DlExpr, DlirProgram, LatticeMerge, Rule,
+    Term,
 };
 
 use crate::ir::*;
@@ -67,8 +68,9 @@ pub fn lower_to_sqir(
     output: &str,
     options: &SqlLowerOptions,
 ) -> Result<SqirQuery> {
-    stratify(program)?;
-    Lowering { program, options, graph: DepGraph::build(program) }.run(output)
+    let graph = DepGraph::build(program);
+    stratify_with(program, &graph)?;
+    Lowering { program, options, graph }.run(output)
 }
 
 struct Lowering<'a> {
@@ -669,7 +671,7 @@ mod tests {
         ));
         p.add_output("p");
         let err = lower_to_sqir(&p, "p", &SqlLowerOptions::default()).unwrap_err();
-        assert_eq!(err, stratify(&p).unwrap_err());
+        assert_eq!(err, raqlet_dlir::stratify(&p).unwrap_err());
         assert!(err.to_string().contains("RAQ106"), "{err}");
     }
 
