@@ -115,12 +115,8 @@ impl Raqlet {
             raqlet_dlir::lower_pgir_with_schema(&self.pg_schema, self.dl_schema.clone(), &pgir)?;
         raqlet_dlir::validate(&lowered.program)?;
 
-        // Optimization for both backend families. The Datalog-targeted
-        // program (also used for the Soufflé unparse) keeps every pass; the
-        // SQL-targeted one skips magic sets, which are pathological under
-        // recursive-CTE working-table evaluation (see
-        // [`raqlet_opt::TargetBackend`]). When magic sets never fire, one
-        // pipeline run yields both.
+        // One optimizer run: every backend (Datalog, Soufflé text, SQL)
+        // gets the same program, magic sets included.
         let (optimized, sql_optimized) =
             raqlet_opt::optimize_for_backends(&lowered.program, options.opt_level)?;
 
@@ -147,13 +143,13 @@ pub struct CompiledQuery {
     pub pgir: PgirQuery,
     /// The unoptimized DLIR program (Figure 3c/3d).
     pub unoptimized: DlirProgram,
-    /// The optimized DLIR program plus pass statistics (Figure 4), targeted
-    /// at Datalog-style backends (every pass of the level).
+    /// The optimized DLIR program plus pass statistics (Figure 4): the one
+    /// program every backend runs.
     pub optimized: OptimizedProgram,
-    /// The program optimized for SQL backends (magic sets skipped — see
-    /// [`raqlet_opt::TargetBackend::Sql`]). It comes from the same pipeline
-    /// run as [`CompiledQuery::optimized`], and equals it, unless magic sets
-    /// fired there (see [`raqlet_opt::optimize_for_backends`]).
+    /// A copy of [`CompiledQuery::optimized`]: both targets get the same
+    /// pass set, so the one pipeline run serves SQL too (see
+    /// [`raqlet_opt::optimize_for_backends`]). Kept so that callers naming
+    /// it keep building; deleted with [`raqlet_opt::TargetBackend`].
     pub sql_optimized: OptimizedProgram,
     /// Name of the output relation (`Return`).
     pub output: String,
@@ -163,12 +159,13 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// The optimized DLIR program (Datalog-targeted).
+    /// The optimized DLIR program, the one every backend runs.
     pub fn dlir(&self) -> &DlirProgram {
         &self.optimized.program
     }
 
-    /// The optimized DLIR program targeted at SQL backends.
+    /// The optimized DLIR program as [`CompiledQuery::sql_optimized`] holds
+    /// it: equal to [`CompiledQuery::dlir`].
     pub fn dlir_for_sql(&self) -> &DlirProgram {
         &self.sql_optimized.program
     }
@@ -178,12 +175,12 @@ impl CompiledQuery {
         raqlet_unparse::to_souffle(self.dlir(), &SouffleOptions::default())
     }
 
-    /// The SQIR form of the optimized program (Figure 3e's structure),
-    /// lowered from the SQL-targeted optimization. This is where SQL's
-    /// limits are checked: mutual, non-linear and non-stratifiable
-    /// recursion are refused here (see [`raqlet_sqir::lower_to_sqir`]).
+    /// The SQIR form of the optimized program (Figure 3e's structure). This
+    /// is where SQL's limits are checked: mutual, non-linear and
+    /// non-stratifiable recursion are refused here (see
+    /// [`raqlet_sqir::lower_to_sqir`]).
     pub fn sqir(&self) -> Result<SqirQuery> {
-        raqlet_sqir::lower_to_sqir(self.dlir_for_sql(), &self.output, &self.sql_options)
+        raqlet_sqir::lower_to_sqir(self.dlir(), &self.output, &self.sql_options)
     }
 
     /// The SQL text of the optimized program in the given dialect.
@@ -256,7 +253,7 @@ impl CompiledQuery {
     /// Execute on the bundled SQL engine with the given profile.
     pub fn execute_sql(&self, db: &Database, profile: SqlProfile) -> Result<Relation> {
         let sqir = self.sqir()?;
-        let catalog = TableCatalog::from_schema(&self.dlir_for_sql().schema);
+        let catalog = TableCatalog::from_schema(&self.dlir().schema);
         let engine = SqlEngine { profile };
         Ok(engine.execute(&sqir, db, &catalog)?.rows)
     }
@@ -270,7 +267,7 @@ impl CompiledQuery {
         guard: &QueryGuard,
     ) -> Result<Relation> {
         let sqir = self.sqir()?;
-        let catalog = TableCatalog::from_schema(&self.dlir_for_sql().schema);
+        let catalog = TableCatalog::from_schema(&self.dlir().schema);
         let engine = SqlEngine { profile };
         Ok(engine.execute_guarded(&sqir, db, &catalog, guard)?.rows)
     }

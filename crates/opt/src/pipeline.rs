@@ -38,30 +38,31 @@ pub enum OptLevel {
     Full,
 }
 
-/// The execution backend a program is being optimized *for*. Some rewrites
-/// are profitable on one paradigm and pathological on another: magic sets
-/// speed up bottom-up Datalog engines by an order of magnitude, but the
-/// magic predicates turn into extra mutually-recursive CTE branches that
-/// naive recursive-CTE evaluators (the SQL engines) re-join on every
-/// working-table iteration — the CQ2-on-duckdb pathology that
-/// `tests/backend_targeting.rs` pins.
+/// The execution backend a program is being optimized *for*. Every backend
+/// now gets the same pass set, magic sets included: a selection pushed into
+/// the fixpoint pays off on bottom-up Datalog and on recursive CTEs alike.
+///
+/// The split dates from a time when the magic predicates made CQ2 about
+/// 90x slower on the SQL engines than the unoptimized program; SQL-sim has
+/// planned its joins since, and CQ2 no longer fires magic sets. The type,
+/// [`PassConfig::for_target`], [`optimize_for_backends`] and the facade's
+/// `sql_optimized` stay only so that callers keep building; they are
+/// deleted once nothing names them (ROADMAP item 18, third slice).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TargetBackend {
-    /// No backend commitment: run every pass of the level. This is the
-    /// pass set for bottom-up Datalog engines (Soufflé or the in-tree
-    /// simulator).
+    /// No backend commitment: every pass of the level.
     #[default]
     Any,
     /// A SQL engine evaluating recursive CTEs with working-table semantics
-    /// (DuckDB / HyPer or the in-tree simulators): magic sets are skipped.
+    /// (DuckDB / HyPer or the in-tree simulators): the same pass set as
+    /// [`TargetBackend::Any`].
     Sql,
 }
 
 impl TargetBackend {
-    /// True if the magic-set rewrite helps (or at least does not hurt) this
-    /// backend.
+    /// True if the magic-set rewrite runs for this backend: for every one.
     pub fn wants_magic_sets(&self) -> bool {
-        !matches!(self, TargetBackend::Sql)
+        true
     }
 }
 
@@ -84,9 +85,8 @@ impl PassConfig {
         Self::for_target(level, TargetBackend::Any)
     }
 
-    /// The pass set for an optimization level, specialised for a target
-    /// backend: SQL backends drop the magic-set rewrite (see
-    /// [`TargetBackend`]).
+    /// The pass set for an optimization level and a target backend: the
+    /// same for both targets (see [`TargetBackend`]).
     pub fn for_target(level: OptLevel, backend: TargetBackend) -> Self {
         let all = PassConfig {
             inline: true,
@@ -145,23 +145,16 @@ pub fn optimize_for(
     optimize_with(program, &PassConfig::for_target(level, backend))
 }
 
-/// Optimize for both backend families at once: returns the
-/// [`TargetBackend::Any`] program and the [`TargetBackend::Sql`] one, each
-/// exactly what [`optimize_for`] returns for that backend. The two pass
-/// sets differ only in magic sets and every pass is deterministic, so when
-/// magic sets never fire in the `Any` run a SQL-targeted run would repeat it
-/// step for step; the SQL pipeline runs only when they fired.
+/// Optimize for both backend families at once: the pipeline runs once and
+/// its one program is returned twice, as the [`TargetBackend::Any`] program
+/// and the [`TargetBackend::Sql`] one, since both targets get the same pass
+/// set.
 pub fn optimize_for_backends(
     program: &DlirProgram,
     level: OptLevel,
 ) -> Result<(OptimizedProgram, OptimizedProgram)> {
-    let any = optimize_for(program, level, TargetBackend::Any)?;
-    let sql = if any.applied_passes.iter().any(|p| p == "magic-sets") {
-        optimize_for(program, level, TargetBackend::Sql)?
-    } else {
-        any.clone()
-    };
-    Ok((any, sql))
+    let optimized = optimize(program, level)?;
+    Ok((optimized.clone(), optimized))
 }
 
 /// Optimize with an explicit pass configuration.
@@ -299,40 +292,14 @@ mod tests {
     }
 
     #[test]
-    fn sql_target_skips_magic_sets_but_keeps_the_rest() {
-        let mut p = DlirProgram::default();
-        p.add_rule(Rule::new(Atom::with_vars("tc", &["x", "y"]), vec![atom("edge", &["x", "y"])]));
-        p.add_rule(Rule::new(
-            Atom::with_vars("tc", &["x", "y"]),
-            vec![atom("tc", &["x", "z"]), atom("edge", &["z", "y"])],
-        ));
-        p.add_rule(Rule::new(
-            Atom::with_vars("Return", &["y"]),
-            vec![atom("tc", &["x", "y"]), BodyElem::eq(DlExpr::var("x"), DlExpr::int(1))],
-        ));
-        p.add_output("Return");
-
-        let sql = optimize_for(&p, OptLevel::Full, TargetBackend::Sql).unwrap();
-        assert!(!sql.applied_passes.contains(&"magic-sets".to_string()));
-        assert!(!sql.program.idb_names().iter().any(|n| n.starts_with("Magic_")));
-
-        let any = optimize_for(&p, OptLevel::Full, TargetBackend::Any).unwrap();
-        assert!(any.applied_passes.contains(&"magic-sets".to_string()));
-        assert!(any.program.idb_names().iter().any(|n| n.starts_with("Magic_")));
-    }
-
-    #[test]
-    fn backend_pass_sets_differ_only_in_magic_sets() {
-        // `optimize_for_backends` skips the SQL run when magic sets never
-        // fired, which is only sound while this holds.
+    fn both_targets_get_the_same_pass_set() {
         for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
             let any = PassConfig::for_target(level, TargetBackend::Any);
-            let sql = PassConfig {
-                magic_sets: any.magic_sets,
-                ..PassConfig::for_target(level, TargetBackend::Sql)
-            };
+            let sql = PassConfig::for_target(level, TargetBackend::Sql);
             assert_eq!(format!("{any:?}"), format!("{sql:?}"), "{level:?}");
+            assert_eq!(format!("{any:?}"), format!("{:?}", PassConfig::for_level(level)));
         }
+        assert!(PassConfig::for_target(OptLevel::Full, TargetBackend::Sql).magic_sets);
     }
 
     #[test]

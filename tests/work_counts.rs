@@ -38,7 +38,7 @@ fn sql_work_counts(network: &SocialNetwork) -> String {
             let options = corpus_options(network, level);
             for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
                 let outcome = raqlet.compile(query.cypher, &options).and_then(|compiled| {
-                    let catalog = TableCatalog::from_schema(&compiled.dlir_for_sql().schema);
+                    let catalog = TableCatalog::from_schema(&compiled.dlir().schema);
                     SqlEngine { profile }.execute(&compiled.sqir()?, &db, &catalog)
                 });
                 let label = format!("{} sql-{profile:?} {level:?}", query.name);
