@@ -288,6 +288,33 @@ mod tests {
     }
 
     #[test]
+    fn sql_target_runs_magic_sets_like_any() {
+        let mut p = DlirProgram::default();
+        p.add_rule(Rule::new(Atom::with_vars("tc", &["x", "y"]), vec![atom("edge", &["x", "y"])]));
+        p.add_rule(Rule::new(
+            Atom::with_vars("tc", &["x", "y"]),
+            vec![atom("tc", &["x", "z"]), atom("edge", &["z", "y"])],
+        ));
+        p.add_rule(Rule::new(
+            Atom::with_vars("Return", &["y"]),
+            vec![atom("tc", &["x", "y"]), BodyElem::eq(DlExpr::var("x"), DlExpr::int(1))],
+        ));
+        p.add_output("Return");
+
+        let sql = optimize_for(&p, OptLevel::Full, TargetBackend::Sql).unwrap();
+        assert!(sql.applied_passes.contains(&"magic-sets".to_string()));
+        assert!(sql.program.idb_names().iter().any(|n| n.starts_with("Magic_")));
+
+        let any = optimize_for(&p, OptLevel::Full, TargetBackend::Any).unwrap();
+        assert_eq!(sql.applied_passes, any.applied_passes);
+        assert_eq!(sql.program.to_string(), any.program.to_string());
+
+        let (both_any, both_sql) = optimize_for_backends(&p, OptLevel::Full).unwrap();
+        assert_eq!(both_any.program.to_string(), any.program.to_string());
+        assert_eq!(both_sql.program.to_string(), sql.program.to_string());
+    }
+
+    #[test]
     fn both_targets_get_the_same_pass_set() {
         for level in [OptLevel::None, OptLevel::Basic, OptLevel::Full] {
             let any = PassConfig::for_target(level, TargetBackend::Any);
