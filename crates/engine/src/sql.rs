@@ -1200,6 +1200,43 @@ mod tests {
     }
 
     #[test]
+    fn a_not_exists_condition_on_a_null_outer_cell_keeps_the_row_on_either_profile() {
+        // q(x) :- edge(x, y), !mark(y) over edge(1, NULL), edge(2, 3),
+        // edge(4, 5) and mark(NULL), mark(3): for x = 1 the condition
+        // `N1.m = R1.dst` is NULL against every mark row, so no inner row
+        // matches and the row stays; x = 2 meets mark(3) and goes.
+        let mut p = edge_program();
+        p.schema
+            .add(RelationDecl::new(
+                "mark",
+                vec![Column::new("m", ValueType::Int)],
+                RelationKind::BaseTable,
+            ))
+            .unwrap();
+        p.add_rule(Rule::new(
+            Atom::with_vars("q", &["x"]),
+            vec![atom("edge", &["x", "y"]), BodyElem::Negated(Atom::with_vars("mark", &["y"]))],
+        ));
+        p.add_output("q");
+        let mut db = Database::new();
+        for (src, dst) in [(1, Value::Null), (2, Value::Int(3)), (4, Value::Int(5))] {
+            db.insert_fact("edge", vec![Value::Int(src), dst]).unwrap();
+        }
+        db.insert_fact("mark", vec![Value::Null]).unwrap();
+        db.insert_fact("mark", vec![Value::Int(3)]).unwrap();
+        for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
+            assert_eq!(
+                run(&p, "q", &db, profile).sorted(),
+                vec![vec![Value::Int(1)], vec![Value::Int(4)]],
+                "{profile:?}"
+            );
+        }
+        // The Datalog negation matches the NULL cells: that is Datalog, not SQL.
+        let dl_rows = crate::datalog::DatalogEngine::new().run_output(&p, &db, "q").unwrap();
+        assert_eq!(dl_rows.sorted(), vec![vec![Value::Int(4)]]);
+    }
+
+    #[test]
     fn a_union_branch_narrower_than_its_cte_is_an_error() {
         let pair = [(col("e", "src"), "x"), (col("e", "dst"), "y")];
         let narrow = select(&[(col("e", "src"), "x")], &[("edge", "e")], Vec::new());
