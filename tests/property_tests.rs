@@ -4,7 +4,8 @@
 //!   graphs;
 //! * the optimizer preserves results on random graphs and random source
 //!   parameters;
-//! * the SQL engine agrees with the Datalog engine on random graphs;
+//! * the SQL engine agrees with the Datalog engine on random graphs, on
+//!   recursion, negation, aggregation, filters and a three-atom join;
 //! * the Cypher lexer/parser never panics on arbitrary input and round-trips
 //!   the PGIR unparser's output.
 //!
@@ -94,28 +95,108 @@ fn optimizer_preserves_reachability_on_random_graphs() {
     }
 }
 
+/// The program shapes the SQL engine is checked on, each with its output:
+/// recursion, stratified negation (NOT EXISTS), aggregation (GROUP BY with
+/// `count` and `min`), a literal plus a non-equi filter, and a three-atom
+/// join.
+fn sql_shapes() -> Vec<(DlirProgram, &'static str)> {
+    use raqlet_dlir::{AggFunc, Aggregation, CmpOp, Term};
+    let rule = |head: &str, vars: &[&str], body: Vec<BodyElem>| {
+        Rule::new(Atom::with_vars(head, vars), body)
+    };
+    let aggregated = |head: &str, func, input: &str| {
+        let mut r = rule(head, &["x", "a"], vec![atom("edge", &["x", "y"])]);
+        r.aggregation = Some(Aggregation {
+            func,
+            input_var: Some(input.into()),
+            output_var: "a".into(),
+            group_by: vec!["x".into()],
+            distinct: false,
+        });
+        r
+    };
+
+    let mut negation = tc_program();
+    negation.outputs.clear();
+    negation.add_rule(rule(
+        "unreached",
+        &["x", "y"],
+        vec![
+            BodyElem::Atom(Atom::new("edge", vec![Term::var("x"), Term::Wildcard])),
+            BodyElem::Atom(Atom::new("edge", vec![Term::Wildcard, Term::var("y")])),
+            BodyElem::Negated(Atom::with_vars("tc", &["x", "y"])),
+        ],
+    ));
+    negation.add_output("unreached");
+
+    let mut aggregate = DlirProgram::default();
+    aggregate.add_rule(aggregated("outdeg", AggFunc::Count, "y"));
+    aggregate.add_rule(aggregated("minout", AggFunc::Min, "y"));
+    aggregate.add_rule(rule(
+        "degmin",
+        &["x", "c", "m"],
+        vec![atom("outdeg", &["x", "c"]), atom("minout", &["x", "m"])],
+    ));
+    aggregate.add_output("degmin");
+
+    let mut filtered = DlirProgram::default();
+    filtered.add_rule(rule(
+        "q",
+        &["x", "z"],
+        vec![
+            atom("edge", &["x", "y"]),
+            atom("edge", &["y", "z"]),
+            BodyElem::eq(DlExpr::var("y"), DlExpr::int(2)),
+            BodyElem::Constraint { op: CmpOp::Lt, lhs: DlExpr::var("x"), rhs: DlExpr::var("z") },
+        ],
+    ));
+    filtered.add_output("q");
+
+    let mut three = DlirProgram::default();
+    three.add_rule(rule(
+        "path3",
+        &["x", "w"],
+        vec![atom("edge", &["x", "y"]), atom("edge", &["y", "z"]), atom("edge", &["z", "w"])],
+    ));
+    three.add_output("path3");
+
+    vec![
+        (tc_program(), "tc"),
+        (negation, "unreached"),
+        (aggregate, "degmin"),
+        (filtered, "q"),
+        (three, "path3"),
+    ]
+}
+
 #[test]
 fn sql_engine_agrees_with_datalog_engine_on_random_graphs() {
     use raqlet_common::schema::{Column, RelationDecl, RelationKind};
     use raqlet_common::ValueType;
     let mut rng = SplitMix64::seed_from_u64(0x5EED);
+    let shapes = sql_shapes();
+    let mut answered = vec![false; shapes.len()];
     for case in 0..32 {
         let edges = random_edges(&mut rng, 12, 40);
         let db = edges_to_db(&edges);
-        let mut program = tc_program();
-        program.schema.upsert(RelationDecl::new(
-            "edge",
-            vec![Column::new("src", ValueType::Int), Column::new("dst", ValueType::Int)],
-            RelationKind::BaseTable,
-        ));
-        let dl = DatalogEngine::new().run_output(&program, &db, "tc").unwrap();
-        let sqir = raqlet_sqir::lower_to_sqir(&program, "tc", &Default::default()).unwrap();
-        let catalog = raqlet::TableCatalog::from_schema(&program.schema);
-        for engine in [raqlet::SqlEngine::duck(), raqlet::SqlEngine::hyper()] {
-            let sql = engine.execute(&sqir, &db, &catalog).unwrap().rows;
-            assert_eq!(dl.sorted(), sql.sorted(), "case {case}: edges {edges:?}");
+        for (shape, (mut program, output)) in shapes.clone().into_iter().enumerate() {
+            program.schema.upsert(RelationDecl::new(
+                "edge",
+                vec![Column::new("src", ValueType::Int), Column::new("dst", ValueType::Int)],
+                RelationKind::BaseTable,
+            ));
+            let dl = DatalogEngine::new().run_output(&program, &db, output).unwrap();
+            answered[shape] |= !dl.is_empty();
+            let sqir = raqlet_sqir::lower_to_sqir(&program, output, &Default::default()).unwrap();
+            let catalog = raqlet::TableCatalog::from_schema(&program.schema);
+            for engine in [raqlet::SqlEngine::duck(), raqlet::SqlEngine::hyper()] {
+                let sql = engine.execute(&sqir, &db, &catalog).unwrap().rows;
+                assert_eq!(dl.sorted(), sql.sorted(), "case {case}, {output}: edges {edges:?}");
+            }
         }
     }
+    // Every shape met data it answers, not only empty inputs.
+    assert!(answered.iter().all(|&a| a), "shapes answered: {answered:?}");
 }
 
 #[test]
