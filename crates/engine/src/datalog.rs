@@ -965,8 +965,28 @@ pub(crate) struct JoinPrep {
 /// delta driver.
 #[derive(Debug, Clone)]
 pub(crate) struct JoinSchedule {
-    order: Vec<usize>,
+    pub(crate) order: Vec<usize>,
     prep: JoinPrep,
+}
+
+impl JoinSchedule {
+    /// Every (relation, columns) index the schedule probes `body` with: the
+    /// bound columns of each probed atom and fully bound negation.
+    pub(crate) fn probes<'a>(
+        &'a self,
+        body: &'a [PlanElem],
+    ) -> impl Iterator<Item = (&'a str, &'a [usize])> + 'a {
+        body.iter().enumerate().filter_map(move |(idx, elem)| {
+            let (relation, columns) = match elem {
+                PlanElem::Atom(atom) => (&atom.relation, Some(&self.prep.atom_columns[idx])),
+                PlanElem::Negated(atom) => {
+                    (&atom.relation, self.prep.negation_columns[idx].as_ref())
+                }
+                PlanElem::Constraint { .. } => return None,
+            };
+            columns.filter(|c| !c.is_empty()).map(|c| (relation.as_str(), c.as_slice()))
+        })
+    }
 }
 
 /// True if every slot of the expression is marked bound.
@@ -1237,19 +1257,8 @@ impl RulePlan {
         let schedules = std::iter::once(&self.base_schedule)
             .chain(self.delta_schedules.iter().chain(ivm_schedules).map(|(_, s)| s));
         for schedule in schedules {
-            for (idx, elem) in self.body.iter().enumerate() {
-                let (relation, columns) = match elem {
-                    PlanElem::Atom(atom) => {
-                        (&atom.relation, Some(&schedule.prep.atom_columns[idx]))
-                    }
-                    PlanElem::Negated(atom) => {
-                        (&atom.relation, schedule.prep.negation_columns[idx].as_ref())
-                    }
-                    PlanElem::Constraint { .. } => continue,
-                };
-                if let Some(columns) = columns.filter(|c| !c.is_empty()) {
-                    required.entry(relation.clone()).or_default().insert(columns.clone());
-                }
+            for (relation, columns) in schedule.probes(&self.body) {
+                required.entry(relation.to_string()).or_default().insert(columns.to_vec());
             }
         }
         // Lattice heads group on every column except the merge column when
@@ -1308,7 +1317,9 @@ impl SlotTable {
 }
 
 impl RulePlan {
-    fn compile(
+    /// Compile `rule` against a fresh slot table: a base schedule, and a
+    /// delta schedule for each positive atom over `scc_relations`.
+    pub(crate) fn compile(
         rule: &Rule,
         dict: &std::sync::Arc<ValueDict>,
         scc_relations: &[String],

@@ -4,39 +4,39 @@
 //! The engine evaluates a [`SqirQuery`] against a [`Database`]:
 //!
 //! * CTEs are evaluated in order and materialised;
-//! * every SELECT is planned once, before any row is read: each FROM item
-//!   is resolved to its source (with the WHERE conjuncts that read only its
-//!   alias pushed below the join), the items are put in greedy bound-first
-//!   order and laid out in one joined row, and each join step gets its
-//!   equi-join keys;
-//! * one join loop runs every plan, extending partial rows in one packed
-//!   buffer, and then re-checks every WHERE conjunct on the joined rows (so
-//!   SQL's `NULL = NULL` is never true, although two packed NULL keys
-//!   compare equal);
+//! * every SELECT is compiled once, before any row is read, into the slot
+//!   plan of the Datalog engine: each FROM item is an atom, equi-joined
+//!   columns share a slot, a literal equality is a constant term, the other
+//!   WHERE conjuncts are constraints, NOT EXISTS is a negated atom, and the
+//!   SELECT and GROUP BY items are slot expressions. The Datalog planner
+//!   orders the atoms and the Datalog join runs them: SQL-sim has no join of
+//!   its own;
+//! * SQL's semantics live in the plan, not in the join. A shared slot
+//!   carries an `x = x` constraint, which rejects a NULL key (the join
+//!   compares packed cells, and two NULL cells are equal); NOT EXISTS reads
+//!   its table without the rows whose condition columns are NULL;
 //! * recursive CTEs follow the SQL standard's semantics: the base branches
 //!   seed the CTE's relation, and each recursive branch, planned once before
 //!   the first round, reads the working table (the rows the previous round
-//!   added) under the CTE's own name. A round stages what its branches
-//!   select into the CTE's relation, and the relation's `advance` publishes
-//!   the rows that are new as the next working table, until a round adds
-//!   none;
+//!   added) under the CTE's own name, as the join's pinned delta position.
+//!   A round stages what its branches select into the CTE's relation, and
+//!   the relation's `advance` publishes the rows that are new as the next
+//!   working table, until a round adds none;
 //! * two *cost profiles* stand in for the two RDBMS of the paper's Table 1
-//!   and differ only in how a keyed join step finds its candidate rows:
-//!   [`SqlProfile::Duck`] probes a persistent hash index on the step's key
-//!   columns, built at plan time (a vectorised, analytics-style executor),
-//!   while [`SqlProfile::Hyper`] scans every row and compares cells (a
-//!   compiled, tuple-at-a-time executor whose low constants win on tiny,
-//!   selective queries but lose on large joins). Both produce identical
-//!   results and identical [`SqlStats`].
+//!   and differ only in which indexes exist: [`SqlProfile::Duck`] builds
+//!   every index the join schedule probes at plan time (a vectorised,
+//!   analytics-style executor), while [`SqlProfile::Hyper`] builds none, so
+//!   every step scans and compares cells (a compiled, tuple-at-a-time
+//!   executor whose low constants win on tiny, selective queries but lose
+//!   on large joins). Both produce identical results and identical
+//!   [`SqlStats`].
 //!
-//! Joined rows are packed [`Cell`]s copied straight from the relations'
-//! arenas: join keys, group-by keys and working-table dedup are `u64` word
-//! compares against the shared per-database dictionary, and values are
-//! decoded only at expression boundaries (predicates, arithmetic,
-//! aggregation).
-//!
-//! Column names are resolved through a [`TableCatalog`] (built from the
-//! DL-Schema for base tables; CTE columns come from their declarations).
+//! Values are decoded only at expression boundaries (predicates,
+//! arithmetic, aggregation); join keys, group-by keys and working-table
+//! dedup are `u64` word compares against the shared per-database
+//! dictionary. Column names are resolved once, at plan time, through a
+//! [`TableCatalog`] (built from the DL-Schema for base tables; CTE columns
+//! come from their declarations).
 
 use std::collections::HashMap;
 
@@ -46,13 +46,16 @@ use raqlet_common::hash::{FxHashMap, FxHashSet};
 use raqlet_common::ops::CmpOp;
 use raqlet_common::schema::DlSchema;
 use raqlet_common::{Database, RaqletError, Relation, Result, Value};
-use raqlet_sqir::{Cte, DepthBound, FromItem, SelectStmt, SqirQuery, SqlExpr};
+use raqlet_dlir::{Atom, BodyElem, DlExpr, LatticeMerge, Rule, Term};
+use raqlet_sqir::{Cte, DepthBound, SelectStmt, SqirQuery, SqlExpr};
+
+use crate::datalog::{derive, Derived, Pin, RulePlan};
 
 /// Execution profile: how a keyed join step finds its candidate rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SqlProfile {
-    /// Probe a hash index on the equi-join keys (DuckDB-style analytics
-    /// executor).
+    /// Build a hash index for every probe of the join schedule, and probe
+    /// it (DuckDB-style analytics executor).
     #[default]
     Duck,
     /// Scan and compare (HyPer-style tuple-at-a-time executor).
@@ -118,7 +121,8 @@ pub struct SqlStats {
     pub ctes_materialised: usize,
     /// Total fixpoint iterations across recursive CTEs.
     pub recursive_iterations: usize,
-    /// Total rows produced across all materialisations (before dedup).
+    /// Rows the SELECTs' joins produced: one per joined row that passes the
+    /// whole WHERE clause, counted before projection, aggregation and dedup.
     pub rows_produced: usize,
 }
 
@@ -184,11 +188,11 @@ impl SqlEngine {
         }
         let stmt = &query.final_select;
         let plan = SelectPlan::new(stmt, &mut scope, &names, None, self.profile)?;
-        let joined = plan.join(&scope, &names, None, &mut stats)?;
+        let out = plan.run(&scope, None, &mut stats, guard)?;
         let mut rows = Relation::with_dict(stmt.items.len(), scope.dict().clone());
-        plan.project(&joined, &scope, &names, |tuple| {
+        for tuple in plan.rows(&out) {
             rows.insert_cells(tuple);
-        })?;
+        }
         Ok(SqlResult { rows, columns: stmt.output_columns(), stats })
     }
 
@@ -213,20 +217,21 @@ impl SqlEngine {
         let mut all = Relation::with_dict(cte.columns.len(), scope.dict().clone());
         for branch in base {
             let plan = SelectPlan::new(branch, scope, names, Some(cte), self.profile)?;
-            let joined = plan.join(scope, names, None, stats)?;
-            plan.project(&joined, scope, names, |tuple| {
+            let out = plan.run(scope, None, stats, guard)?;
+            for tuple in plan.rows(&out) {
                 all.insert_cells(tuple);
-            })?;
+            }
         }
         if !cte.recursive {
             return Ok(all);
         }
 
-        // The recursive branches are planned once: the base tables, their
-        // pushed-down filters, the join order and the keys are the same
-        // every round; only the working table changes. A lattice helper's
-        // branches are planned without their depth-bound conjunct, which
-        // `DepthCut` applies to the projected rows instead.
+        // The recursive branches are planned once: the base tables, the join
+        // order and the indexes are the same every round; only the working
+        // table changes. Its name resolves to an empty relation of the CTE's
+        // arity, and each round pins its atom to the delta of `all`. A
+        // lattice helper's branches are planned without their depth-bound
+        // conjunct, which `DepthCut` applies to the projected rows instead.
         let unbounded: Vec<SelectStmt>;
         let recursive = match cte.depth_bound {
             Some(bound) => {
@@ -235,6 +240,8 @@ impl SqlEngine {
             }
             None => recursive,
         };
+        let working = Relation::with_dict(cte.columns.len(), scope.dict().clone());
+        scope.set(cte.name.clone(), working);
         let plans: Vec<SelectPlan> = recursive
             .into_iter()
             .map(|branch| SelectPlan::new(branch, scope, names, Some(cte), self.profile))
@@ -248,13 +255,15 @@ impl SqlEngine {
             }
             stats.recursive_iterations += 1;
             for plan in &plans {
-                let joined = plan.join(scope, names, Some(&all), stats)?;
-                plan.project(&joined, scope, names, |tuple| match &mut cut {
-                    Some(cut) if !cut.admits(tuple, scope.dict()) => cut.record(tuple),
-                    _ => {
-                        all.stage_cells(tuple);
+                let out = plan.run(scope, Some(&all), stats, guard)?;
+                for tuple in plan.rows(&out) {
+                    match &mut cut {
+                        Some(cut) if !cut.admits(tuple, scope.dict()) => cut.record(tuple),
+                        _ => {
+                            all.stage_cells(tuple);
+                        }
                     }
-                })?;
+                }
             }
             guard.add_tuples(all.advance());
         }
@@ -317,60 +326,21 @@ impl DepthCut {
     }
 }
 
-/// Where a join step reads its rows from.
-enum Source {
-    /// A base table or earlier CTE, read from the scope as stored.
-    Scope(String),
-    /// A scope table with the WHERE conjuncts that read only its alias
-    /// applied at plan time. Without this pushdown, literal filters like
-    /// `R.id = 42` (which carry no equi-join key) would only run after the
-    /// full join — the optimizer's constant propagation would make queries
-    /// slower on this engine, not faster (the original CQ2 pathology).
-    Filtered(Box<Relation>),
-    /// The recursive CTE's working table. It changes every round, so it is
-    /// never pre-filtered; the residual re-check filters its rows.
-    Working,
-}
-
-impl Source {
-    /// The stored relation; `None` for the working table.
-    fn relation<'a>(&'a self, scope: &'a Database) -> Option<&'a Relation> {
-        match self {
-            Source::Scope(table) => scope.get(table),
-            Source::Filtered(rel) => Some(rel.as_ref()),
-            Source::Working => None,
-        }
-    }
-}
-
-/// One FROM item, in join order.
-struct Step {
-    source: Source,
-    /// Equi-join keys to the items joined before it: `(offset in the joined
-    /// row, column of this item)`.
-    keys: Vec<(usize, usize)>,
-    /// The right halves of `keys`: the columns of the index Duck probes.
-    columns: Vec<usize>,
-}
-
-/// One SELECT, planned once before any row is read: the FROM items as
-/// [`Step`]s in join order, the joined-row layout, and the profile that
-/// picks how keyed steps find their candidates.
+/// One SELECT compiled to a slot plan: a rule whose body the Datalog join
+/// runs, and whose head lists the SELECT items and then the GROUP BY items.
 struct SelectPlan<'s> {
     stmt: &'s SelectStmt,
-    /// Parallel to `layout.aliases`.
-    steps: Vec<Step>,
-    layout: RowLayout,
-    /// Cells in a joined row (the sum of the FROM items' arities).
-    width: usize,
-    profile: SqlProfile,
+    rule: RulePlan,
+    /// Body position of the recursive CTE's working table, which the join
+    /// pins to the rows the previous round added.
+    working: Option<usize>,
 }
 
 impl<'s> SelectPlan<'s> {
     /// Plan `stmt`, the final SELECT or a UNION branch of `cte`. A branch
     /// must select exactly its CTE's columns, and a recursive CTE's own name
-    /// reads its working table. On [`SqlProfile::Duck`], every keyed step
-    /// over a stored relation gets its persistent index here, once.
+    /// reads its working table. On [`SqlProfile::Duck`], every index the
+    /// join schedule probes is built here, once.
     fn new(
         stmt: &'s SelectStmt,
         scope: &mut Database,
@@ -386,478 +356,360 @@ impl<'s> SelectPlan<'s> {
                 cte.columns.len()
             )));
         }
-        let working = cte.filter(|cte| cte.recursive).map(|cte| cte.name.as_str());
-        let mut from: Vec<(&FromItem, Source)> = Vec::with_capacity(stmt.from.len());
-        for item in &stmt.from {
-            let source = match working {
-                Some(name) if name == item.table => Source::Working,
-                _ => pushdown(stmt, item, scope, names)?,
-            };
-            from.push((item, source));
-        }
-        // Join in greedy bound-first order rather than FROM order, mirroring
-        // the Datalog planner: the working table (the delta, when present)
-        // drives the join, and each subsequent table is the one reached
-        // through the most equi-join keys from the tables already joined
-        // (ties broken towards smaller tables). Inner joins plus the residual
-        // re-check make any order produce the same rows; the order only
-        // controls how large the intermediate products get.
-        let sizes: Vec<(&FromItem, usize)> = from
-            .iter()
-            .map(|(item, source)| (*item, source.relation(scope).map_or(0, Relation::len)))
-            .collect();
-        let order = greedy_join_order(&sizes, &stmt.where_conjuncts, working);
-        let mut ordered: Vec<(usize, (&FromItem, Source))> = from.into_iter().enumerate().collect();
-        ordered.sort_by_key(|(i, _)| order.iter().position(|o| o == i));
-
-        let mut layout = RowLayout::default();
-        let mut width = 0usize;
-        for (_, (item, source)) in &ordered {
-            let columns = names.columns_of(&item.table)?.to_vec();
-            if let Some(rel) = source.relation(scope) {
-                if !rel.is_empty() && columns.len() != rel.arity() {
-                    return Err(RaqletError::execution(format!(
-                        "table `{}` has arity {} but catalog lists {} columns",
-                        item.table,
-                        rel.arity(),
-                        columns.len()
-                    )));
+        let working: Vec<String> =
+            cte.filter(|cte| cte.recursive).map(|cte| cte.name.clone()).into_iter().collect();
+        let rule = compile_select(stmt, scope, names, working.first().map(String::as_str))?;
+        let rule = RulePlan::compile(&rule, scope.dict(), &working, LatticeMerge::Set);
+        let working = rule.recursive_positions.first().copied();
+        if profile == SqlProfile::Duck {
+            for (relation, columns) in rule.schedule_for(working).probes(&rule.body) {
+                if let Some(rel) = scope.get_mut(relation) {
+                    rel.ensure_index(columns);
                 }
             }
-            let arity = columns.len();
-            layout.aliases.push(AliasColumns { alias: item.alias.clone(), offset: width, columns });
-            width += arity;
         }
-
-        let mut steps = Vec::with_capacity(ordered.len());
-        for (idx, (_, (item, mut source))) in ordered.into_iter().enumerate() {
-            let joined: Vec<&str> =
-                layout.aliases[..idx].iter().map(|a| a.alias.as_str()).collect();
-            let keys = equi_join_keys(&stmt.where_conjuncts, &joined, &item.alias, &layout)?;
-            let columns: Vec<usize> = keys.iter().map(|&(_, column)| column).collect();
-            if profile == SqlProfile::Duck && !columns.is_empty() {
-                match &mut source {
-                    Source::Scope(table) => {
-                        if let Some(rel) = scope.get_mut(table) {
-                            rel.ensure_index(&columns);
-                        }
-                    }
-                    Source::Filtered(rel) => rel.ensure_index(&columns),
-                    Source::Working => {}
-                }
-            }
-            steps.push(Step { source, keys, columns });
-        }
-        Ok(SelectPlan { stmt, steps, layout, width, profile })
+        Ok(SelectPlan { stmt, rule, working })
     }
 
-    fn context<'a>(&'a self, scope: &'a Database, names: &'a TableCatalog) -> RowContext<'a> {
-        RowContext { layout: &self.layout, scope, names, dict: scope.dict() }
-    }
-
-    /// The one join loop: extend partial rows step by step in one packed
-    /// buffer (`max(width, 1)` cells a row, so a zero-width row still
-    /// counts), then keep the joined rows every WHERE conjunct accepts.
-    /// `working` is the recursive CTE's relation; its delta is the working
-    /// table.
-    fn join(
+    /// Join the body through its schedule, with the working table pinned to
+    /// the delta of `working`, and project each joined row onto the head;
+    /// an aggregating SELECT then folds its groups. Raqlet only emits
+    /// DISTINCT selects; the receiving relation deduplicates.
+    fn run(
         &self,
         scope: &Database,
-        names: &TableCatalog,
         working: Option<&Relation>,
         stats: &mut SqlStats,
-    ) -> Result<Vec<Cell>> {
-        let stride = self.width.max(1);
-        let mut rows: Vec<Cell> = vec![NULL_CELL; stride];
-        let mut key: Vec<Cell> = Vec::new();
-        for (step, alias) in self.steps.iter().zip(&self.layout.aliases) {
-            let (offset, arity) = (alias.offset, alias.columns.len());
-            let relation = step.source.relation(scope);
-            let scan = match (&step.source, relation, working) {
-                (Source::Working, _, Some(work)) => work.delta_cells().chunks_exact(work.stride()),
-                (_, Some(rel), _) => rel.full_cells().chunks_exact(rel.stride()),
-                _ => [].chunks_exact(1),
-            };
-            // The probe choice, the only place the profiles differ.
-            let index = match self.profile {
-                SqlProfile::Duck => {
-                    relation.filter(|rel| !step.columns.is_empty() && rel.has_index(&step.columns))
-                }
-                SqlProfile::Hyper => None,
-            };
-            let mut next: Vec<Cell> = Vec::new();
-            for row in rows.chunks_exact(stride) {
-                let push = |tuple: &[Cell]| {
-                    if step.keys.iter().all(|&(left, right)| row[left] == tuple[right]) {
-                        let at = next.len() + offset;
-                        next.extend_from_slice(row);
-                        next[at..at + arity].copy_from_slice(&tuple[..arity]);
+        guard: &QueryGuard,
+    ) -> Result<Derived> {
+        let pins: Vec<Pin> = self
+            .working
+            .zip(working)
+            .map(|(pos, rel)| Pin { pos, rows: rel.delta_cells(), stride: rel.stride() })
+            .into_iter()
+            .collect();
+        let schedule = self.rule.schedule_for(self.working);
+        let joined = derive(&self.rule, scope, schedule, &pins, &[], guard)?;
+        stats.rows_produced += joined.rows;
+        if !self.stmt.is_aggregating() {
+            return Ok(joined);
+        }
+        Ok(self.fold(&joined, scope.dict()))
+    }
+
+    /// Group the projected rows on their GROUP BY cells and fold each group
+    /// to one row: an aggregate item folds its argument over the group, and
+    /// any other item is a group key, read from the group's first row.
+    fn fold(&self, joined: &Derived, dict: &ValueDict) -> Derived {
+        let items = self.stmt.items.len();
+        let mut groups: FxHashMap<&[Cell], Vec<&[Cell]>> = FxHashMap::default();
+        for row in joined.cells.chunks_exact(joined.stride) {
+            groups.entry(&row[items..self.rule.head_arity]).or_default().push(row);
+        }
+        if groups.is_empty() && self.stmt.group_by.is_empty() {
+            groups.insert(&[], Vec::new());
+        }
+        let stride = items.max(1);
+        let mut out = Derived { cells: Vec::with_capacity(groups.len() * stride), rows: 0, stride };
+        for rows in groups.values() {
+            for (i, item) in self.stmt.items.iter().enumerate() {
+                out.cells.push(match &item.expr {
+                    SqlExpr::Aggregate { func, distinct, .. } => {
+                        let values = rows.iter().map(|row| dict.decode(row[i])).collect();
+                        dict.encode_value(&func.fold(values, *distinct))
                     }
-                };
-                match index {
-                    Some(rel) => {
-                        key.clear();
-                        key.extend(step.keys.iter().map(|&(left, _)| row[left]));
-                        rel.probe_index_cells(&step.columns, &key)
-                            .into_iter()
-                            .flatten()
-                            .for_each(push);
-                    }
-                    None => scan.clone().filter(|tuple| !is_tombstone(tuple[0])).for_each(push),
-                }
+                    _ => rows.first().map_or(NULL_CELL, |row| row[i]),
+                });
             }
-            rows = next;
+            if items == 0 {
+                out.cells.push(NULL_CELL);
+            }
+            out.rows += 1;
         }
-        stats.rows_produced += rows.len() / stride;
-
-        // Residual predicates: every conjunct, including NOT EXISTS. The
-        // equi-join keys hold on joined rows except where both sides are
-        // NULL, which SQL's `=` rejects here.
-        let ctx = self.context(scope, names);
-        let mut kept = 0;
-        'rows: for r in 0..rows.len() / stride {
-            let row = &rows[r * stride..][..self.width];
-            for pred in &self.stmt.where_conjuncts {
-                if !ctx.eval_predicate(pred, row)? {
-                    continue 'rows;
-                }
-            }
-            rows.copy_within(r * stride..(r + 1) * stride, kept * stride);
-            kept += 1;
-        }
-        rows.truncate(kept * stride);
-        Ok(rows)
+        out
     }
 
-    /// Project (or group and aggregate) the rows [`SelectPlan::join`] kept,
-    /// handing each output tuple to `emit`. Raqlet only emits DISTINCT
-    /// selects; the receiving relation deduplicates.
-    fn project(
-        &self,
-        joined: &[Cell],
-        scope: &Database,
-        names: &TableCatalog,
-        mut emit: impl FnMut(&[Cell]),
-    ) -> Result<()> {
-        let ctx = self.context(scope, names);
-        let stmt = self.stmt;
-        let rows = joined.chunks_exact(self.width.max(1)).map(|row| &row[..self.width]);
-        let mut tuple: Vec<Cell> = Vec::with_capacity(stmt.items.len());
-        if stmt.is_aggregating() {
-            let mut groups: FxHashMap<Vec<Cell>, Vec<&[Cell]>> = FxHashMap::default();
-            for row in rows {
-                let key: Vec<Cell> =
-                    stmt.group_by.iter().map(|g| ctx.eval_cell(g, row)).collect::<Result<_>>()?;
-                groups.entry(key).or_default().push(row);
-            }
-            if groups.is_empty() && stmt.group_by.is_empty() {
-                groups.insert(Vec::new(), Vec::new());
-            }
-            for group_rows in groups.values() {
-                tuple.clear();
-                for item in &stmt.items {
-                    let value = ctx.eval_aggregate_item(&item.expr, group_rows)?;
-                    tuple.push(ctx.dict.encode_value(&value));
-                }
-                emit(&tuple);
-            }
-        } else {
-            for row in rows {
-                tuple.clear();
-                for item in &stmt.items {
-                    tuple.push(ctx.eval_cell(&item.expr, row)?);
-                }
-                emit(&tuple);
-            }
-        }
-        Ok(())
+    /// The output tuples in rows [`SelectPlan::run`] returned.
+    fn rows<'a>(&self, out: &'a Derived) -> impl Iterator<Item = &'a [Cell]> + 'a {
+        let items = self.stmt.items.len();
+        out.cells.chunks_exact(out.stride).map(move |row| &row[..items])
     }
 }
 
-/// Column layout of a joined row.
-#[derive(Debug, Clone, Default)]
-struct RowLayout {
-    aliases: Vec<AliasColumns>,
-}
-
-#[derive(Debug, Clone)]
-struct AliasColumns {
-    alias: String,
-    offset: usize,
-    columns: Vec<String>,
-}
-
-impl RowLayout {
-    /// The offset of `alias` within a joined row and the index of `column`
-    /// within the alias's own tuple.
-    fn locate(&self, alias: &str, column: &str) -> Result<(usize, usize)> {
-        let a = self
-            .aliases
-            .iter()
-            .find(|a| a.alias == alias)
-            .ok_or_else(|| RaqletError::execution(format!("unknown table alias `{alias}`")))?;
-        let idx =
-            a.columns.iter().position(|c| c == column).ok_or_else(|| {
-                RaqletError::execution(format!("unknown column `{alias}.{column}`"))
-            })?;
-        Ok((a.offset, idx))
-    }
-
-    /// Offset of `alias.column` within a fully joined row.
-    fn offset_of(&self, alias: &str, column: &str) -> Result<usize> {
-        let (offset, idx) = self.locate(alias, column)?;
-        Ok(offset + idx)
-    }
-}
-
-/// Resolve a FROM item to its stored [`Source`], filtered by the WHERE
-/// conjuncts that reference only its alias when there are any.
-fn pushdown(
+/// Compile a SELECT to a Datalog rule over the scope's relations (see the
+/// module docs). `working` names the recursive CTE whose working table the
+/// SELECT may read; every other FROM table must be in the scope.
+fn compile_select(
     stmt: &SelectStmt,
-    item: &FromItem,
-    scope: &Database,
+    scope: &mut Database,
     names: &TableCatalog,
-) -> Result<Source> {
-    let rel = scope
-        .get(&item.table)
-        .ok_or_else(|| RaqletError::execution(format!("table `{}` not found", item.table)))?;
-    let single: Vec<&SqlExpr> =
-        stmt.where_conjuncts.iter().filter(|p| references_only_alias(p, &item.alias)).collect();
-    if single.is_empty() {
-        return Ok(Source::Scope(item.table.clone()));
-    }
-    let layout = RowLayout {
-        aliases: vec![AliasColumns {
-            alias: item.alias.clone(),
-            offset: 0,
-            columns: names.columns_of(&item.table)?.to_vec(),
-        }],
-    };
-    let ctx = RowContext { layout: &layout, scope, names, dict: scope.dict() };
-    let mut kept = Relation::with_dict(rel.arity(), scope.dict().clone());
-    'rows: for tuple in rel.iter_rows() {
-        for pred in &single {
-            if !ctx.eval_predicate(pred, tuple)? {
-                continue 'rows;
-            }
-        }
-        kept.insert_cells(tuple);
-    }
-    Ok(Source::Filtered(Box::new(kept)))
-}
-
-/// True if the predicate can be evaluated against a single table alias: all
-/// column references belong to `alias` and the expression has no subquery or
-/// aggregate parts. Such predicates are safe to push below the join.
-fn references_only_alias(expr: &SqlExpr, alias: &str) -> bool {
-    match expr {
-        SqlExpr::Column { table, .. } => table == alias,
-        SqlExpr::Literal(_) => true,
-        SqlExpr::Cmp { lhs, rhs, .. } | SqlExpr::Arith { lhs, rhs, .. } => {
-            references_only_alias(lhs, alias) && references_only_alias(rhs, alias)
-        }
-        SqlExpr::Aggregate { .. } | SqlExpr::NotExists { .. } => false,
-    }
-}
-
-/// Pick the order in which FROM tables are joined: the recursive working
-/// table first when present (it plays the role of the Datalog delta — small
-/// and shrinking towards the fixpoint), then greedily the table connected to
-/// the already-joined set by the most equi-join predicates, with ties broken
-/// towards smaller tables and then FROM position. `tables` pairs each FROM
-/// item with its row count; returns indexes into it.
-fn greedy_join_order(
-    tables: &[(&FromItem, usize)],
-    predicates: &[SqlExpr],
-    recursive_table: Option<&str>,
-) -> Vec<usize> {
-    let mut order: Vec<usize> = Vec::with_capacity(tables.len());
-    let mut remaining: Vec<usize> = (0..tables.len()).collect();
-    if let Some(name) = recursive_table {
-        if let Some(p) = remaining.iter().position(|&i| tables[i].0.table == name) {
-            order.push(remaining.remove(p));
-        }
-    }
-    while !remaining.is_empty() {
-        let joined: Vec<&str> = order.iter().map(|&i| tables[i].0.alias.as_str()).collect();
-        // The loop guard proves `remaining` non-empty, so a maximum exists.
-        #[allow(clippy::expect_used)]
-        let best = remaining
-            .iter()
-            .enumerate()
-            .map(|(pos, &idx)| {
-                let (item, size) = tables[idx];
-                let keys = equi_join_pairs(predicates, &joined, &item.alias).count();
-                (pos, (keys as i64, -(size as i64), -(idx as i64)))
-            })
-            .max_by_key(|(_, score)| *score)
-            .map(|(pos, _)| pos)
-            .expect("remaining is non-empty");
-        order.push(remaining.remove(best));
-    }
-    order
-}
-
-/// The `a.x = b.y` predicates connecting the already-joined aliases to
-/// `new_alias`, each as `((joined alias, column), (new alias, column))`.
-fn equi_join_pairs<'p>(
-    predicates: &'p [SqlExpr],
-    joined: &'p [&str],
-    new_alias: &'p str,
-) -> impl Iterator<Item = ((&'p str, &'p str), (&'p str, &'p str))> + 'p {
-    predicates.iter().filter_map(move |pred| {
-        let SqlExpr::Cmp { op: CmpOp::Eq, lhs, rhs } = pred else { return None };
-        let (SqlExpr::Column { table: t1, column: c1 }, SqlExpr::Column { table: t2, column: c2 }) =
-            (lhs.as_ref(), rhs.as_ref())
-        else {
-            return None;
+    working: Option<&str>,
+) -> Result<Rule> {
+    let mut from = Vec::with_capacity(stmt.from.len());
+    let mut width = 0;
+    for item in &stmt.from {
+        let stored = match working {
+            Some(name) if name == item.table => None,
+            _ => Some(scope.get(&item.table).ok_or_else(|| {
+                RaqletError::execution(format!("table `{}` not found", item.table))
+            })?),
         };
-        let (a, b) = ((t1.as_str(), c1.as_str()), (t2.as_str(), c2.as_str()));
-        if joined.contains(&a.0) && b.0 == new_alias {
-            Some((a, b))
-        } else if joined.contains(&b.0) && a.0 == new_alias {
-            Some((b, a))
-        } else {
-            None
+        let columns = names.columns_of(&item.table)?;
+        if let Some(rel) = stored.filter(|rel| !rel.is_empty() && rel.arity() != columns.len()) {
+            return Err(RaqletError::execution(format!(
+                "table `{}` has arity {} but catalog lists {} columns",
+                item.table,
+                rel.arity(),
+                columns.len()
+            )));
         }
-    })
-}
+        from.push((width, columns));
+        width += columns.len();
+    }
+    let mut c = Classes {
+        stmt,
+        from,
+        parent: (0..width).collect(),
+        literal: vec![None; width],
+        used: vec![false; width],
+        body: Vec::new(),
+    };
 
-/// Equi-join keys `(left row offset, right local column index)` between the
-/// already-joined aliases and the alias being added.
-fn equi_join_keys(
-    predicates: &[SqlExpr],
-    joined: &[&str],
-    new_alias: &str,
-    layout: &RowLayout,
-) -> Result<Vec<(usize, usize)>> {
-    equi_join_pairs(predicates, joined, new_alias)
-        .map(|(left, right)| {
-            Ok((layout.offset_of(left.0, left.1)?, layout.locate(right.0, right.1)?.1))
-        })
-        .collect()
-}
-
-/// Evaluation context for one SELECT: the joined-row layout plus the shared
-/// dictionary cells are decoded through at expression boundaries.
-struct RowContext<'a> {
-    layout: &'a RowLayout,
-    scope: &'a Database,
-    names: &'a TableCatalog,
-    dict: &'a ValueDict,
-}
-
-impl<'a> RowContext<'a> {
-    fn eval_predicate(&self, expr: &SqlExpr, row: &[Cell]) -> Result<bool> {
-        match expr {
-            SqlExpr::NotExists { table, alias, conditions } => {
-                let Some(rel) = self.scope.get(table) else { return Ok(true) };
-                'tuples: for tuple in rel.iter_rows() {
-                    for cond in conditions {
-                        if !self.eval_with_candidate(cond, row, table, alias, tuple)? {
-                            continue 'tuples;
-                        }
-                    }
-                    return Ok(false);
-                }
-                Ok(true)
+    // Equi-joins: the columns of one connected set share one slot.
+    let mut keyed = Vec::new();
+    let mut rest = Vec::new();
+    for conjunct in &stmt.where_conjuncts {
+        match eq_operands(conjunct) {
+            Some((
+                SqlExpr::Column { table: t1, column: c1 },
+                SqlExpr::Column { table: t2, column: c2 },
+            )) => {
+                let (a, b) = (c.locate(t1, c1)?, c.locate(t2, c2)?);
+                let (ra, rb) = (c.find(a), c.find(b));
+                c.parent[rb] = ra;
+                keyed.push(a);
             }
-            other => Ok(self.eval_scalar(other, row)?.is_truthy()),
+            _ => rest.push(conjunct),
         }
     }
-
-    /// Evaluate a NOT EXISTS condition where references to `candidate_alias`
-    /// read from `candidate`.
-    fn eval_with_candidate(
-        &self,
-        expr: &SqlExpr,
-        row: &[Cell],
-        candidate_table: &str,
-        candidate_alias: &str,
-        candidate: &[Cell],
-    ) -> Result<bool> {
-        let v =
-            self.eval_scalar_with(expr, row, Some((candidate_table, candidate_alias, candidate)))?;
-        Ok(v.is_truthy())
-    }
-
-    fn eval_scalar(&self, expr: &SqlExpr, row: &[Cell]) -> Result<Value> {
-        self.eval_scalar_with(expr, row, None)
-    }
-
-    /// Evaluate an expression straight to a packed cell: bare column
-    /// references copy the cell (the projection fast path); everything else
-    /// evaluates at the value level and encodes the result.
-    fn eval_cell(&self, expr: &SqlExpr, row: &[Cell]) -> Result<Cell> {
-        match expr {
-            SqlExpr::Column { table, column } => {
-                let offset = self.layout.offset_of(table, column)?;
-                Ok(row.get(offset).copied().unwrap_or(raqlet_common::cell::NULL_CELL))
+    // Literal equalities: the class is that constant. A NULL literal, or a
+    // second literal for the same class, stays a constraint.
+    let mut residual = Vec::new();
+    for conjunct in rest {
+        if let Some((SqlExpr::Column { table, column }, SqlExpr::Literal(value)))
+        | Some((SqlExpr::Literal(value), SqlExpr::Column { table, column })) =
+            eq_operands(conjunct)
+        {
+            let root = c.find(c.locate(table, column)?);
+            if c.literal[root].is_none() && !value.is_null() {
+                c.literal[root] = Some(value.clone());
+                continue;
             }
-            other => Ok(self.dict.encode_value(&self.eval_scalar(other, row)?)),
+        }
+        residual.push(conjunct);
+    }
+    // SQL's `=` rejects a NULL key, but the join compares packed cells and
+    // two NULL cells are equal: `x = x` rejects the NULL.
+    for column in keyed {
+        let root = c.find(column);
+        if c.literal[root].is_none() && !c.used[root] {
+            let var = DlExpr::Var(c.use_var(root));
+            c.body.push(BodyElem::eq(var.clone(), var));
         }
     }
-
-    fn eval_scalar_with(
-        &self,
-        expr: &SqlExpr,
-        row: &[Cell],
-        candidate: Option<(&str, &str, &[Cell])>,
-    ) -> Result<Value> {
-        match expr {
-            SqlExpr::Column { table, column } => {
-                if let Some((cand_table, cand_alias, tuple)) = candidate {
-                    if table == cand_alias {
-                        let idx = self.names.column_index(cand_table, column)?;
-                        return Ok(tuple
-                            .get(idx)
-                            .map(|&c| self.dict.decode(c))
-                            .unwrap_or(Value::Null));
-                    }
-                }
-                let offset = self.layout.offset_of(table, column)?;
-                Ok(row.get(offset).map(|&c| self.dict.decode(c)).unwrap_or(Value::Null))
-            }
-            SqlExpr::Literal(v) => Ok(v.clone()),
+    let mut negations = Vec::new();
+    for conjunct in residual {
+        match conjunct {
             SqlExpr::Cmp { op, lhs, rhs } => {
-                let l = self.eval_scalar_with(lhs, row, candidate)?;
-                let r = self.eval_scalar_with(rhs, row, candidate)?;
-                Ok(op.eval(&l, &r).map_or(Value::Null, Value::Bool))
+                let (lhs, rhs) = (c.expr(lhs)?, c.expr(rhs)?);
+                c.body.push(BodyElem::Constraint { op: *op, lhs, rhs });
             }
-            SqlExpr::Arith { op, lhs, rhs } => {
-                let l = self.eval_scalar_with(lhs, row, candidate)?;
-                let r = self.eval_scalar_with(rhs, row, candidate)?;
-                Ok(op.eval(&l, &r).unwrap_or(Value::Null))
+            SqlExpr::NotExists { table, alias, conditions } => {
+                let mut terms = vec![Term::Wildcard; names.columns_of(table)?.len()];
+                for condition in conditions {
+                    let (column, outer) = match eq_operands(condition) {
+                        Some((SqlExpr::Column { table: t, column }, outer))
+                        | Some((outer, SqlExpr::Column { table: t, column }))
+                            if t == alias =>
+                        {
+                            (column, outer)
+                        }
+                        _ => return Err(unsupported(condition)),
+                    };
+                    let index = names.column_index(table, column)?;
+                    if !matches!(terms[index], Term::Wildcard) {
+                        return Err(unsupported(condition));
+                    }
+                    terms[index] = c.operand(outer)?;
+                }
+                let relation = without_nulls(scope, table, &terms);
+                negations.push(BodyElem::Negated(Atom::new(relation, terms)));
             }
-            SqlExpr::Aggregate { .. } => Err(RaqletError::execution(
-                "aggregate expression evaluated outside GROUP BY context",
-            )),
-            SqlExpr::NotExists { .. } => {
-                Err(RaqletError::execution("NOT EXISTS evaluated as a scalar expression"))
-            }
+            other => return Err(unsupported(other)),
         }
+    }
+    let mut head = Vec::with_capacity(stmt.items.len() + stmt.group_by.len());
+    for item in &stmt.items {
+        head.push(match &item.expr {
+            SqlExpr::Aggregate { arg: Some(arg), .. } => c.operand(arg)?,
+            SqlExpr::Aggregate { arg: None, .. } => Term::Const(Value::Int(1)),
+            expr => c.operand(expr)?,
+        });
+    }
+    for key in &stmt.group_by {
+        head.push(c.operand(key)?);
+    }
+    let atoms: Vec<BodyElem> = stmt
+        .from
+        .iter()
+        .zip(&c.from)
+        .map(|(item, &(first, columns))| {
+            let terms = (first..first + columns.len()).map(|column| c.atom_term(column));
+            BodyElem::Atom(Atom::new(item.table.clone(), terms.collect()))
+        })
+        .collect();
+    let body = atoms.into_iter().chain(c.body).chain(negations).collect();
+    Ok(Rule::new(Atom::new("select", head), body))
+}
+
+/// The column classes of one SELECT: its FROM columns numbered item by
+/// item, merged by equi-joins, with the constraints compiled so far.
+struct Classes<'a> {
+    stmt: &'a SelectStmt,
+    /// Per FROM item: the number of its first column, and its columns.
+    from: Vec<(usize, &'a [String])>,
+    /// Union-find parent of each column.
+    parent: Vec<usize>,
+    /// The literal a class root equals.
+    literal: Vec<Option<Value>>,
+    /// Class roots that have a slot.
+    used: Vec<bool>,
+    /// Constraints, including the assignments of computed operands.
+    body: Vec<BodyElem>,
+}
+
+impl Classes<'_> {
+    /// The number of `alias.column`.
+    fn locate(&self, alias: &str, column: &str) -> Result<usize> {
+        let item = self
+            .stmt
+            .from
+            .iter()
+            .position(|item| item.alias == alias)
+            .ok_or_else(|| RaqletError::execution(format!("unknown table alias `{alias}`")))?;
+        let (first, columns) = self.from[item];
+        let index = columns
+            .iter()
+            .position(|c| c == column)
+            .ok_or_else(|| RaqletError::execution(format!("unknown column `{alias}.{column}`")))?;
+        Ok(first + index)
     }
 
-    fn eval_aggregate_item(&self, expr: &SqlExpr, group_rows: &[&[Cell]]) -> Result<Value> {
-        match expr {
-            SqlExpr::Aggregate { func, distinct, arg } => {
-                let values: Vec<Value> = match arg {
-                    Some(a) => group_rows
-                        .iter()
-                        .map(|row| self.eval_scalar(a, row))
-                        .collect::<Result<Vec<_>>>()?,
-                    None => group_rows.iter().map(|_| Value::Int(1)).collect(),
-                };
-                Ok(func.fold(values, *distinct))
+    fn find(&self, mut column: usize) -> usize {
+        while self.parent[column] != column {
+            column = self.parent[column];
+        }
+        column
+    }
+
+    /// The variable of the class rooted at `root`, named after its column.
+    fn var_name(&self, root: usize) -> String {
+        let item = self.from.iter().rposition(|&(first, _)| first <= root).unwrap_or(0);
+        let (first, columns) = self.from[item];
+        format!("{}.{}", self.stmt.from[item].alias, columns[root - first])
+    }
+
+    /// [`Classes::var_name`], for a class that now needs a slot.
+    fn use_var(&mut self, root: usize) -> String {
+        self.used[root] = true;
+        self.var_name(root)
+    }
+
+    /// A column, literal or arithmetic expression as a Datalog expression.
+    fn expr(&mut self, expr: &SqlExpr) -> Result<DlExpr> {
+        Ok(match expr {
+            SqlExpr::Column { table, column } => {
+                let root = self.find(self.locate(table, column)?);
+                match &self.literal[root] {
+                    Some(value) => DlExpr::Const(value.clone()),
+                    None => DlExpr::Var(self.use_var(root)),
+                }
             }
-            // Non-aggregate items inside a GROUP BY are group keys: all rows
-            // of the group agree, so read from the first.
-            other => match group_rows.first() {
-                Some(row) => self.eval_scalar(other, row),
-                None => Ok(Value::Null),
+            SqlExpr::Literal(value) => DlExpr::Const(value.clone()),
+            SqlExpr::Arith { op, lhs, rhs } => DlExpr::Arith {
+                op: *op,
+                lhs: Box::new(self.expr(lhs)?),
+                rhs: Box::new(self.expr(rhs)?),
             },
+            other => return Err(unsupported(other)),
+        })
+    }
+
+    /// An operand that must be a term (a SELECT or GROUP BY item, a NOT
+    /// EXISTS condition's outer side): arithmetic gets a fresh variable,
+    /// assigned by an `=` constraint. No atom binds it, so an arithmetic
+    /// error assigns NULL instead of dropping the row.
+    fn operand(&mut self, expr: &SqlExpr) -> Result<Term> {
+        Ok(match self.expr(expr)? {
+            DlExpr::Var(var) => Term::Var(var),
+            DlExpr::Const(value) => Term::Const(value),
+            arith => {
+                let var = format!("#{}", self.body.len());
+                self.body.push(BodyElem::eq(DlExpr::Var(var.clone()), arith));
+                Term::Var(var)
+            }
+        })
+    }
+
+    /// The term of a FROM column in its atom: its class's literal or
+    /// variable, or a wildcard when nothing reads it.
+    fn atom_term(&self, column: usize) -> Term {
+        let root = self.find(column);
+        match &self.literal[root] {
+            Some(value) => Term::Const(value.clone()),
+            None if self.used[root] => Term::Var(self.var_name(root)),
+            None => Term::Wildcard,
         }
     }
+}
+
+/// The operands of an `=` comparison.
+fn eq_operands(expr: &SqlExpr) -> Option<(&SqlExpr, &SqlExpr)> {
+    match expr {
+        SqlExpr::Cmp { op: CmpOp::Eq, lhs, rhs } => Some((lhs, rhs)),
+        _ => None,
+    }
+}
+
+/// The relation a NOT EXISTS over `table` reads. SQL's `=` never matches
+/// NULL, but the negation probe compares packed cells, and two NULL cells
+/// are equal. So when a row of `table` holds NULL in a condition column (a
+/// column whose term is not a wildcard), the NOT EXISTS reads a copy of the
+/// table without those rows, stored in the scope.
+fn without_nulls(scope: &mut Database, table: &str, terms: &[Term]) -> String {
+    let conditioned: Vec<usize> =
+        (0..terms.len()).filter(|&i| !matches!(terms[i], Term::Wildcard)).collect();
+    let has_null = |row: &[Cell]| conditioned.iter().any(|&i| row.get(i) == Some(&NULL_CELL));
+    let name = format!("{table} without NULL in {conditioned:?}");
+    if scope.get(&name).is_some() {
+        return name;
+    }
+    let copy = match scope.get(table) {
+        Some(rel) if rel.iter_rows().any(has_null) => {
+            let mut copy = Relation::with_dict(rel.arity(), scope.dict().clone());
+            for row in rel.iter_rows().filter(|row| !has_null(row)) {
+                copy.insert_cells(row);
+            }
+            copy
+        }
+        _ => return table.to_string(),
+    };
+    scope.set(name.clone(), copy);
+    name
+}
+
+fn unsupported(expr: &SqlExpr) -> RaqletError {
+    RaqletError::execution(format!("SQL-sim cannot evaluate `{expr}` in this position"))
 }
 
 #[cfg(test)]
@@ -1108,35 +960,48 @@ mod tests {
         assert_eq!(run(&p, "q", &db, SqlProfile::Hyper), rows);
     }
 
+    /// The atom order of the schedule `stmt` compiles to over `chain_db(3)`,
+    /// as FROM positions, with the working-table position.
+    fn join_order(stmt: &SelectStmt, cte: Option<&Cte>) -> (Vec<usize>, Option<usize>) {
+        let mut scope = chain_db(3);
+        let mut names = TableCatalog::from_schema(&edge_program().schema);
+        if let Some(cte) = cte {
+            names.register(&cte.name, cte.columns.clone());
+        }
+        let plan = SelectPlan::new(stmt, &mut scope, &names, cte, SqlProfile::Duck).unwrap();
+        (plan.rule.schedule_for(plan.working).order.clone(), plan.working)
+    }
+
     #[test]
-    fn greedy_join_order_prefers_the_delta_then_connected_tables() {
-        let items: Vec<FromItem> = [("work", "t0"), ("big", "t1"), ("small", "t2")]
-            .iter()
-            .map(|(t, a)| FromItem { table: t.to_string(), alias: a.to_string() })
-            .collect();
-        let tables: Vec<(&FromItem, usize)> =
-            vec![(&items[0], 1), (&items[1], 100), (&items[2], 2)];
-        let col = |t: &str, c: &str| SqlExpr::Column { table: t.into(), column: c.into() };
-        // work joins small; small joins big. FROM order would join work×big
-        // first (a cross product).
-        let predicates = vec![
-            SqlExpr::Cmp {
-                op: CmpOp::Eq,
-                lhs: Box::new(col("t0", "x")),
-                rhs: Box::new(col("t2", "x")),
-            },
-            SqlExpr::Cmp {
-                op: CmpOp::Eq,
-                lhs: Box::new(col("t2", "x")),
-                rhs: Box::new(col("t1", "x")),
-            },
-        ];
-        // The recursive working table drives; then the connected small table;
-        // the big table comes last even though FROM lists it second.
-        assert_eq!(greedy_join_order(&tables, &predicates, Some("work")), vec![0, 2, 1]);
-        // Without a recursive binding the first pick is the smallest table
-        // (no connections yet), then greedily the connected ones.
-        assert_eq!(greedy_join_order(&tables, &predicates, None), vec![0, 2, 1]);
+    fn a_recursive_branch_drives_from_the_working_table() {
+        // FROM lists `edge` first, but the working table drives the join.
+        let step = select(
+            &[(col("R", "x"), "x"), (col("e", "dst"), "y")],
+            &[("edge", "e"), ("tc", "R")],
+            vec![SqlExpr::eq(col("R", "y"), col("e", "src"))],
+        );
+        let base =
+            select(&[(col("e", "src"), "x"), (col("e", "dst"), "y")], &[("edge", "e")], Vec::new());
+        let tc = Cte {
+            name: "tc".into(),
+            columns: vec!["x".into(), "y".into()],
+            recursive: true,
+            branches: vec![base, step.clone()],
+            depth_bound: None,
+        };
+        assert_eq!(join_order(&step, Some(&tc)), (vec![1, 0], Some(1)));
+    }
+
+    #[test]
+    fn a_table_reached_by_a_key_joins_before_an_unconnected_one() {
+        // `a` and `c` share a key; `b` shares none, so it joins last even
+        // though FROM lists it second.
+        let stmt = select(
+            &[(col("a", "src"), "x")],
+            &[("edge", "a"), ("edge", "b"), ("edge", "c")],
+            vec![SqlExpr::eq(col("a", "dst"), col("c", "src"))],
+        );
+        assert_eq!(join_order(&stmt, None), (vec![0, 2, 1], None));
     }
 
     #[test]
@@ -1168,7 +1033,7 @@ mod tests {
         SelectStmt {
             distinct: true,
             items: items.iter().map(|(e, a)| raqlet_sqir::SelectItem::new(e.clone(), *a)).collect(),
-            from: from.iter().map(|(t, a)| FromItem::new(*t, *a)).collect(),
+            from: from.iter().map(|(t, a)| raqlet_sqir::FromItem::new(*t, *a)).collect(),
             where_conjuncts: conds,
             group_by: Vec::new(),
         }
