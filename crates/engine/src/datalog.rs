@@ -660,8 +660,10 @@ impl Derived {
 /// `schedule` with the given pins into one packed [`Envs`] buffer, then
 /// instantiate the head once per environment row, or aggregate the rows
 /// when the rule aggregates. Every rule application — evaluation's
-/// sequential path, each parallel chunk, and every incremental-maintenance
-/// join that produces rows — goes through here. Requires every index the schedule probes to exist already (see
+/// sequential path, each parallel chunk, every incremental-maintenance join
+/// that produces rows, and every SQL-sim SELECT — goes through here. A
+/// probe whose index is missing scans instead; Datalog evaluation builds
+/// every index the schedule probes up front (see
 /// [`DatalogEngine::evaluate_plan`]).
 pub(crate) fn derive(
     plan: &RulePlan,
@@ -700,9 +702,10 @@ pub(crate) struct Pin<'a> {
     pub(crate) stride: usize,
 }
 
-/// The one join of the Datalog engine: join a rule body through a compiled
-/// `schedule`, apply its constraints and negations, and return the slot
-/// environments satisfying it, packed back to back in one [`Envs`] buffer.
+/// The one join of the engine crate, for Datalog rules and SQL-sim's
+/// SELECTs alike: join a rule body through a compiled `schedule`, apply its
+/// constraints and negations, and return the slot environments satisfying
+/// it, packed back to back in one [`Envs`] buffer.
 /// Read-only over the database — every index the schedule probes was
 /// materialized by [`DatalogEngine::evaluate_plan`] (or
 /// [`crate::PreparedDatabase::install_view`] for the maintenance schedules)

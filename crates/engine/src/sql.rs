@@ -166,9 +166,11 @@ impl SqlEngine {
     }
 
     /// [`SqlEngine::execute`] under an execution [`QueryGuard`]: the guard is
-    /// checked before each CTE materialization and at every recursive-CTE
-    /// fixpoint round, so deadlines, budgets and cancellation interrupt a
-    /// runaway recursive query between rounds.
+    /// checked before each CTE materialization, at every recursive-CTE
+    /// fixpoint round and inside a join every
+    /// [`JOIN_SCAN_PERIOD`](raqlet_common::guard::JOIN_SCAN_PERIOD)
+    /// candidate rows, so deadlines, budgets and cancellation interrupt a
+    /// runaway query between rounds and inside a large join.
     pub fn execute_guarded(
         &self,
         query: &SqirQuery,
@@ -690,10 +692,6 @@ fn without_nulls(scope: &mut Database, table: &str, terms: &[Term]) -> String {
     let conditioned: Vec<usize> =
         (0..terms.len()).filter(|&i| !matches!(terms[i], Term::Wildcard)).collect();
     let has_null = |row: &[Cell]| conditioned.iter().any(|&i| row.get(i) == Some(&NULL_CELL));
-    let name = format!("{table} without NULL in {conditioned:?}");
-    if scope.get(&name).is_some() {
-        return name;
-    }
     let copy = match scope.get(table) {
         Some(rel) if rel.iter_rows().any(has_null) => {
             let mut copy = Relation::with_dict(rel.arity(), scope.dict().clone());
@@ -704,6 +702,7 @@ fn without_nulls(scope: &mut Database, table: &str, terms: &[Term]) -> String {
         }
         _ => return table.to_string(),
     };
+    let name = format!("{table} without NULL in {conditioned:?}");
     scope.set(name.clone(), copy);
     name
 }
@@ -1254,6 +1253,35 @@ mod tests {
         for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
             let rows = run_sqir(&query, &db, profile).unwrap().rows;
             assert_eq!(rows.sorted(), expected, "{profile:?}");
+        }
+    }
+
+    #[test]
+    fn a_large_join_ticks_the_join_scan_checkpoint_on_either_profile() {
+        // q(x, z) :- edge(x, _), edge(_, z) over a 300-edge chain: the cross
+        // product meets 90000 candidates, and the final SELECT scans its
+        // 90000 rows, each past `JOIN_SCAN_PERIOD` once.
+        use std::sync::{Arc, Mutex};
+        let mut p = edge_program();
+        p.add_rule(Rule::new(
+            Atom::with_vars("q", &["x", "z"]),
+            vec![atom("edge", &["x", "a"]), atom("edge", &["b", "z"])],
+        ));
+        p.add_output("q");
+        let sqir = lower_to_sqir(&p, "q", &SqlLowerOptions::default()).unwrap();
+        let catalog = TableCatalog::from_schema(&p.schema);
+        let db = chain_db(300);
+        for profile in [SqlProfile::Duck, SqlProfile::Hyper] {
+            let kinds = Arc::new(Mutex::new(std::collections::BTreeMap::<String, u64>::new()));
+            let sink = Arc::clone(&kinds);
+            let guard = QueryGuard::new().with_fault_hook(Arc::new(move |site, _| {
+                *sink.lock().unwrap().entry(format!("{site:?}")).or_default() += 1;
+                None
+            }));
+            let result = SqlEngine { profile }.execute_guarded(&sqir, &db, &catalog, &guard);
+            assert_eq!(result.unwrap().rows.len(), 90_000, "{profile:?}");
+            let kinds: Vec<(String, u64)> = kinds.lock().unwrap().clone().into_iter().collect();
+            assert_eq!(kinds, [("JoinScan".into(), 2), ("Scc".into(), 1)], "{profile:?}");
         }
     }
 

@@ -7,14 +7,14 @@
 //! a 2-core x86-64 container) the shape is:
 //!
 //! * the optimized program beats the unoptimized one on every simulated
-//!   backend (CQ2: about 2.7 → 0.28 ms on Datalog, 7.3 → 0.7 ms on DuckDB-sim,
-//!   16 → 0.8 ms on HyPer-sim);
+//!   backend (CQ2: about 1.35 → 0.15 ms on Datalog, 1.4 → 0.22 ms on
+//!   DuckDB-sim, 17 → 0.68 ms on HyPer-sim);
 //! * the paper's other claim, that translated Datalog / SQL beat the original
-//!   Cypher execution, does not hold here. The Neo4j stand-in filters while
-//!   it matches: it runs SQ1 in about 0.03 ms, level with optimized Datalog
-//!   and ahead of both SQL simulators (about 0.1 ms), and CQ2 in about
-//!   0.5 ms, behind only optimized Datalog (about 0.25 ms). Every
-//!   unoptimized translation is slower than it.
+//!   Cypher execution, holds here only for optimized CQ2. The Neo4j stand-in
+//!   filters while it matches: it runs SQ1 in about 0.02 ms, level with
+//!   optimized Datalog and ahead of both SQL simulators (about 0.06 ms), and
+//!   CQ2 in about 0.28 ms, behind optimized Datalog (0.15 ms) and optimized
+//!   DuckDB-sim (0.22 ms). Every unoptimized translation is slower than it.
 //!
 //! ```sh
 //! cargo run --release --example table1 [scale]
