@@ -19,7 +19,11 @@
 //! executes the suite under both `RAQLET_THREADS=1` and the default pool.
 //!
 //! Direct byte-level corruption (flipped bytes, torn tails, double
-//! corruption) is covered by the scenario tests below the matrix.
+//! corruption) is covered by the scenario tests below the matrix. So are
+//! standing views through both recovery branches (a DRed closure, a
+//! `count` aggregate and an `@min` lattice), `ViewSpec`s the recovered
+//! state refuses (the directory must stay byte-identical), and a durable
+//! frame that fails to replay.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,7 +34,9 @@ use raqlet::{
     PreparedDatabase, QueryGuard, RaqletError, StoreOptions, Value, ViewSpec,
 };
 use raqlet_common::SplitMix64;
-use raqlet_dlir::{Atom, BodyElem, DlExpr, DlirProgram, LatticeMerge, Rule};
+use raqlet_dlir::{
+    AggFunc, Aggregation, Atom, BodyElem, CmpOp, DlExpr, DlirProgram, LatticeMerge, Rule,
+};
 
 fn atom(name: &str, vars: &[&str]) -> BodyElem {
     BodyElem::Atom(Atom::with_vars(name, vars))
@@ -72,6 +78,30 @@ fn lattice_program() -> DlirProgram {
     ));
     p.set_lattice("dist", LatticeMerge::MinOnColumn(2));
     p.add_output("dist");
+    p
+}
+
+/// Out-degree per node (a `count` aggregate) and the nodes with at least
+/// two successors above it (maintained by counting).
+fn count_program() -> DlirProgram {
+    let mut p = DlirProgram::default();
+    let mut deg = Rule::new(Atom::with_vars("deg", &["x", "c"]), vec![atom("edge", &["x", "y"])]);
+    deg.aggregation = Some(Aggregation {
+        func: AggFunc::Count,
+        input_var: None,
+        output_var: "c".into(),
+        group_by: vec!["x".into()],
+        distinct: false,
+    });
+    p.add_rule(deg);
+    p.add_rule(Rule::new(
+        Atom::with_vars("busy", &["x"]),
+        vec![
+            atom("deg", &["x", "c"]),
+            BodyElem::Constraint { op: CmpOp::Ge, lhs: DlExpr::var("c"), rhs: DlExpr::int(2) },
+        ],
+    ));
+    p.add_output("busy");
     p
 }
 
@@ -417,15 +447,33 @@ fn compacted_snapshots_round_trip_bit_identically() {
 /// older checkpoint.
 #[test]
 fn corrupt_snapshot_falls_back_to_previous_generation() {
+    fallback_recovery("fallback", &[]);
+}
+
+/// The fallback branch with standing views: the recovered views, their
+/// epochs and the dictionary match the control that maintained the views
+/// batch by batch.
+#[test]
+fn corrupt_snapshot_falls_back_with_views_installed() {
+    fallback_recovery("fallback-views", &[(tc_program(), "tc"), (lattice_program(), "dist")]);
+}
+
+fn fallback_recovery(tag: &str, views: &[(DlirProgram, &str)]) {
     let mut rng = SplitMix64::seed_from_u64(0xFA_11B);
     let base = base_db(&mut rng);
     let deltas = scripted_deltas(&mut rng);
-    let (expected, _) = control_fingerprints(&base, &[], &deltas);
+    let (expected, view_ids) = control_fingerprints(&base, views, &deltas);
+    let specs = view_specs(views);
+    let open =
+        |dir: &TempDir| DurableDatabase::open_with(dir.path(), StoreOptions::default(), &specs);
 
-    let dir = TempDir::new("fallback");
+    let dir = TempDir::new(tag);
     // Script: 5 batches, checkpoint (rotates generations), 4 more batches
     // living only in the current WAL.
     let mut store = DurableDatabase::create(dir.path(), base).expect("create");
+    for (program, output) in views {
+        store.prepared_mut().install_view(program, output).expect("install view");
+    }
     for (delta, _) in &deltas[..5] {
         store.log_delta(delta.clone()).expect("log");
     }
@@ -445,17 +493,228 @@ fn corrupt_snapshot_falls_back_to_previous_generation() {
     }
     std::fs::write(&snap, &bytes).expect("write corruption");
 
-    let store = DurableDatabase::open(dir.path()).expect("fallback recovery");
+    let store = open(&dir).expect("fallback recovery");
     assert_eq!(store.epoch(), 9, "previous generation + both WALs replay to the full state");
     assert_eq!(store.durable_epoch(), 9);
-    assert_eq!(fingerprint(store.prepared(), &[]), expected[9]);
+    assert_eq!(fingerprint(store.prepared(), &view_ids), expected[9]);
     drop(store);
 
     // Recovery republished a good current snapshot: a second open no
     // longer needs the fallback and sees the same state.
-    let store = DurableDatabase::open(dir.path()).expect("reopen after republish");
+    let store = open(&dir).expect("reopen after republish");
     assert_eq!(store.epoch(), 9);
-    assert_eq!(fingerprint(store.prepared(), &[]), expected[9]);
+    assert_eq!(fingerprint(store.prepared(), &view_ids), expected[9]);
+}
+
+/// A current-generation WAL tail that exercises every maintenance strategy
+/// `reopen` relies on — DRed (`tc`), a `count` aggregate with counting above
+/// it (`deg`/`busy`) and an `@min` lattice (`dist`) — including a row the
+/// tail inserts and later deletes, and a snapshot row it deletes and later
+/// puts back. The reopened store matches the control that maintained the
+/// views frame by frame, and each view matches a fresh `install_view` over
+/// the recovered extensional state.
+#[test]
+fn wal_tail_recovers_views_of_every_strategy() {
+    let mut rng = SplitMix64::seed_from_u64(0x7A11);
+    let base = base_db(&mut rng);
+    let scripted = scripted_deltas(&mut rng);
+    let views = [(tc_program(), "tc"), (count_program(), "busy"), (lattice_program(), "dist")];
+    let specs = view_specs(&views);
+
+    // The tail deletes a snapshot row that no scripted batch touches and
+    // puts it back, and inserts and deletes again an edge into node 10,
+    // which the scripted batches (nodes 0..10) never name.
+    let mut at_checkpoint = PreparedDatabase::new(deep_copy(&base));
+    for (delta, _) in &scripted[..3] {
+        at_checkpoint.apply_delta(delta.clone()).expect("apply");
+    }
+    let touched: Vec<&Vec<Value>> = scripted[3..8]
+        .iter()
+        .flat_map(|(delta, _)| delta.inserts().iter().chain(delta.deletes()))
+        .filter(|(name, _)| name == "edge")
+        .map(|(_, row)| row)
+        .collect();
+    let snapshot_row = at_checkpoint
+        .database()
+        .get("edge")
+        .expect("edge")
+        .sorted()
+        .into_iter()
+        .find(|row| !touched.contains(&row))
+        .expect("an untouched snapshot edge");
+    let fresh_row = vec![snapshot_row[0].clone(), Value::Int(10)];
+    let frame = |inserts: &[&Vec<Value>], deletes: &[&Vec<Value>]| {
+        let mut delta = EdbDelta::new();
+        for row in inserts {
+            delta.insert("edge", (*row).clone());
+        }
+        for row in deletes {
+            delta.delete("edge", (*row).clone());
+        }
+        (delta, false)
+    };
+    // Three batches into the snapshot, then a tail: the two designed round
+    // trips interleaved with scripted churn.
+    let mut deltas: Vec<(EdbDelta, bool)> = scripted[..3].to_vec();
+    deltas[2].1 = true;
+    deltas.push(frame(&[&fresh_row], &[]));
+    deltas.push(frame(&[], &[&snapshot_row]));
+    deltas.extend(scripted[3..6].iter().cloned().map(|(delta, _)| (delta, false)));
+    deltas.push(frame(&[], &[&fresh_row]));
+    deltas.push(frame(&[&snapshot_row], &[]));
+    deltas.extend(scripted[6..8].iter().cloned().map(|(delta, _)| (delta, false)));
+    let (expected, view_ids) = control_fingerprints(&base, &views, &deltas);
+
+    let dir = TempDir::new("tail-views");
+    assert!(matches!(run_script(dir.path(), None, &base, &views, &deltas), Outcome::Completed));
+    let store =
+        DurableDatabase::open_with(dir.path(), StoreOptions::default(), &specs).expect("reopen");
+    assert_eq!(store.epoch(), deltas.len() as u64);
+    assert_eq!(
+        &fingerprint(store.prepared(), &view_ids),
+        expected.last().expect("nonempty"),
+        "recovered views diverged from the IVM-maintained control"
+    );
+
+    let mut fresh = PreparedDatabase::new(deep_copy(store.database()));
+    for ((program, output), (id, names)) in views.iter().zip(&view_ids) {
+        let fresh_id = fresh.install_view(program, output).expect("fresh install");
+        for name in names {
+            assert_eq!(
+                store.prepared().view_relation(*id, name).map(|r| r.sorted()),
+                fresh.view_relation(fresh_id, name).map(|r| r.sorted()),
+                "view relation `{name}` differs from a fresh install"
+            );
+        }
+    }
+}
+
+/// Every file of a store directory, by name, with its bytes.
+fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("list store")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(entry.path()).expect("file bytes"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Chop the last few bytes off `wal.raq`, tearing its final frame: a
+/// successful open truncates the log back to the frame before.
+fn tear_wal_tail(dir: &Path) {
+    let wal = dir.join("wal.raq");
+    let bytes = std::fs::read(&wal).expect("wal bytes");
+    std::fs::write(&wal, &bytes[..bytes.len() - 3]).expect("tear tail");
+}
+
+/// A `ViewSpec` the recovered state refuses makes `open_with` fail without
+/// writing anything: every file keeps its bytes, the torn WAL tail is not
+/// truncated, and the fallback does not republish. A valid open afterwards
+/// still succeeds.
+#[test]
+fn refused_view_specs_leave_the_directory_untouched() {
+    let specs = view_specs(&[(tc_program(), "tc")]);
+    let mut rng = SplitMix64::seed_from_u64(0x4EF);
+    let base = base_db(&mut rng);
+    let deltas = scripted_deltas(&mut rng);
+    let mut tc_row = EdbDelta::new();
+    tc_row.insert("tc", vec![Value::Int(1), Value::Int(2)]);
+
+    // (a) The WAL writes `tc`, the relation the spec derives.
+    let dir = TempDir::new("refuse-wal-writes");
+    let mut store = DurableDatabase::create(dir.path(), deep_copy(&base)).expect("create");
+    store.log_delta(deltas[0].0.clone()).expect("log");
+    store.log_delta(tc_row.clone()).expect("log tc row");
+    store.log_delta(deltas[1].0.clone()).expect("log");
+    store.log_delta(deltas[2].0.clone()).expect("log");
+    drop(store);
+    tear_wal_tail(dir.path());
+    let before = dir_bytes(dir.path());
+    let err = DurableDatabase::open_with(dir.path(), StoreOptions::default(), &specs)
+        .expect_err("the WAL writes a derived relation");
+    assert!(err.to_string().contains("`tc`"), "{err}");
+    assert!(dir_bytes(dir.path()) == before, "a refused open wrote to the store");
+    let store = DurableDatabase::open(dir.path()).expect("valid open");
+    assert_eq!(store.epoch(), 3, "exactly the torn frame is dropped");
+    drop(store);
+    assert!(dir_bytes(dir.path()) != before, "the valid open truncates the torn tail");
+
+    // (b) The snapshot holds a non-empty `tc`; the WAL has a torn tail.
+    let mut with_tc = deep_copy(&base);
+    with_tc.insert_fact("tc", vec![Value::Int(1), Value::Int(2)]).expect("tc fact");
+    let dir = TempDir::new("refuse-collision");
+    let mut store = DurableDatabase::create(dir.path(), deep_copy(&with_tc)).expect("create");
+    for (delta, _) in &deltas[..3] {
+        store.log_delta(delta.clone()).expect("log");
+    }
+    drop(store);
+    tear_wal_tail(dir.path());
+    let before = dir_bytes(dir.path());
+    let err = DurableDatabase::open_with(dir.path(), StoreOptions::default(), &specs)
+        .expect_err("the spec collides with the snapshot's `tc`");
+    assert!(err.to_string().contains("`tc`"), "{err}");
+    assert!(dir_bytes(dir.path()) == before, "a refused open wrote to the store");
+    let store = DurableDatabase::open(dir.path()).expect("valid open");
+    assert_eq!(store.epoch(), 2);
+    drop(store);
+
+    // The same collision on the fallback branch: nothing is republished.
+    let dir = TempDir::new("refuse-fallback");
+    let mut store = DurableDatabase::create(dir.path(), with_tc).expect("create");
+    store.log_delta(deltas[0].0.clone()).expect("log");
+    store.checkpoint().expect("checkpoint");
+    store.log_delta(deltas[1].0.clone()).expect("log");
+    drop(store);
+    let snap = dir.path().join("snapshot.raq");
+    let mut bytes = std::fs::read(&snap).expect("snapshot bytes");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&snap, &bytes).expect("write corruption");
+    let before = dir_bytes(dir.path());
+    let err = DurableDatabase::open_with(dir.path(), StoreOptions::default(), &specs)
+        .expect_err("the spec collides with the fallback snapshot's `tc`");
+    assert!(err.to_string().contains("`tc`"), "{err}");
+    assert!(dir_bytes(dir.path()) == before, "a refused fallback open wrote to the store");
+    let store = DurableDatabase::open(dir.path()).expect("valid fallback open");
+    assert_eq!(store.epoch(), 2);
+}
+
+/// A durable frame the recovered state rejects (here, rows of the wrong
+/// arity) fails the open with a `Corrupt` error naming the log and the
+/// frame's epoch, and leaves the store as it was.
+#[test]
+fn replay_errors_name_the_wal_and_the_frame_epoch() {
+    let mut narrow = Database::new();
+    narrow.insert_fact("edge", vec![Value::Int(1), Value::Int(2)]).expect("edge/2");
+    let dir = TempDir::new("replay-narrow");
+    drop(DurableDatabase::create(dir.path(), narrow).expect("create"));
+
+    let mut wide = Database::new();
+    wide.insert_fact("edge", vec![Value::Int(1), Value::Int(2), Value::Int(3)]).expect("edge/3");
+    let other = TempDir::new("replay-wide");
+    let mut store = DurableDatabase::create(other.path(), wide).expect("create");
+    for i in 0..2 {
+        let mut delta = EdbDelta::new();
+        delta.insert("edge", vec![Value::Int(i), Value::Int(i + 1), Value::Int(i + 2)]);
+        store.log_delta(delta).expect("log edge/3");
+    }
+    drop(store);
+    std::fs::copy(other.path().join("wal.raq"), dir.path().join("wal.raq")).expect("copy wal");
+
+    let before = dir_bytes(dir.path());
+    let err = DurableDatabase::open(dir.path()).expect_err("edge/3 frames over edge/2");
+    match err {
+        RaqletError::Corrupt { ref path, ref message, .. } => {
+            assert!(path.ends_with("wal.raq"), "error names the log: {err}");
+            assert!(message.contains("epoch 1"), "error names the frame's epoch: {err}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    assert!(dir_bytes(dir.path()) == before, "a failed replay wrote to the store");
 }
 
 /// Torn and corrupt WAL tails truncate back to the last complete frame;
