@@ -29,8 +29,9 @@
 //!   previous generation plus a longer WAL replay instead of aborting.
 //! - **Torn-tail recovery.** Opening scans the WAL forward, truncates at
 //!   the first torn or corrupt frame, and replays the surviving batches
-//!   through [`PreparedDatabase::apply_delta`] so standing views rebuild
-//!   consistently.
+//!   into the extensional set through [`PreparedDatabase::apply_delta`];
+//!   standing views are then evaluated once over the recovered state, not
+//!   maintained frame by frame.
 //! - **Deterministic fault injection.** Every filesystem operation funnels
 //!   through an [`IoFaultHook`]-aware gateway ([`StoreOptions::io_hook`]),
 //!   so crash points — partial write, failed fsync, failed rename — are
@@ -115,9 +116,9 @@ impl std::fmt::Debug for StoreOptions {
     }
 }
 
-/// A standing query to reinstall on [`DurableDatabase::open_with`], so WAL
-/// replay maintains it incrementally and the reopened store's views match
-/// the pre-crash ones.
+/// A standing query to reinstall on [`DurableDatabase::open_with`]. It is
+/// evaluated once over the recovered extensional state, after WAL replay,
+/// so the reopened store's views match the pre-crash ones.
 #[derive(Debug, Clone)]
 pub struct ViewSpec {
     /// The Datalog program defining the view.
@@ -222,15 +223,17 @@ impl DurableDatabase {
     }
 
     /// [`DurableDatabase::open`] with explicit [`StoreOptions`] and the
-    /// standing views to reinstall before WAL replay.
+    /// standing views to reinstall after WAL replay.
     ///
     /// Recovery: load `snapshot.raq`; if it is missing or corrupt, fall
     /// back to `snapshot.prev` and the longer replay of `wal.prev` +
-    /// `wal.raq`. Install `views`, then replay surviving WAL frames in
-    /// epoch order through [`PreparedDatabase::apply_delta`] — skipping
-    /// frames at or below the snapshot epoch, stopping at the first torn,
-    /// corrupt, or non-contiguous frame — and finally truncate or rotate
-    /// the log so it is appendable again.
+    /// `wal.raq`. Replay surviving WAL frames in epoch order through
+    /// [`PreparedDatabase::apply_delta`] with no view installed, so each
+    /// is a plain extensional apply — skipping frames at or below the
+    /// snapshot epoch, stopping at the first torn, corrupt, or
+    /// non-contiguous frame. Then install `views`, each evaluated once over
+    /// the recovered state, and only then truncate or rotate the log so it
+    /// is appendable again: a refused view leaves every file untouched.
     pub fn open_with(
         dir: impl AsRef<Path>,
         options: StoreOptions,
@@ -274,13 +277,19 @@ impl DurableDatabase {
             }
         };
 
-        // Rebuild the working set at the snapshot's durable epoch and
-        // reinstall the standing views, so replay maintains them.
+        // Rebuild the working set at the snapshot's durable epoch. No view
+        // is installed during replay, so each frame is a plain extensional
+        // apply; each view is then evaluated once over the recovered state,
+        // before anything is written, so a refused spec leaves the
+        // directory untouched.
         let mut prepared = PreparedDatabase::new(db);
         prepared.set_epoch(snap_epoch);
-        for spec in views {
-            prepared.install_view(&spec.program, &spec.output)?;
-        }
+        let install_views = |prepared: &mut PreparedDatabase| -> Result<()> {
+            for spec in views {
+                prepared.install_view(&spec.program, &spec.output)?;
+            }
+            Ok(())
+        };
 
         // Replay the surviving WAL frames.
         let wal_path = dir.join(WAL);
@@ -299,6 +308,7 @@ impl DurableDatabase {
                     Self::replay(&mut prepared, scan.frames, &wal_path)?;
                 }
             }
+            install_views(&mut prepared)?;
             // Republish the recovered state as the current snapshot —
             // atomically replacing the corrupt/missing one while the
             // previous generation stays intact underneath — then give the
@@ -323,23 +333,27 @@ impl DurableDatabase {
             store.checkpoint()?;
             store
         } else {
-            // Current-generation recovery: replay `wal.raq` and truncate
-            // its torn/dead tail so it is appendable again.
-            let wal = match read_file_if_exists(&wal_path)? {
-                None => Wal::create(&io, &wal_path)?,
-                Some(bytes) => {
-                    let scan = wal::scan(&bytes, &wal_path.display().to_string());
-                    if scan.valid_len == 0 {
-                        // Bad or missing magic — not salvageable as a log.
-                        Wal::create(&io, &wal_path)?
-                    } else {
-                        let (keep_end, _) = Self::replay(&mut prepared, scan.frames, &wal_path)?;
-                        if keep_end < bytes.len() as u64 {
-                            wal::truncate_to_valid(&io, &wal_path, keep_end)?;
-                        }
-                        Wal::open(&io, &wal_path)?
-                    }
+            // Current-generation recovery: replay `wal.raq`, install the
+            // views, then truncate its torn/dead tail so it is appendable
+            // again.
+            let log = read_file_if_exists(&wal_path)?;
+            let mut keep_end = None;
+            if let Some(bytes) = &log {
+                let scan = wal::scan(bytes, &wal_path.display().to_string());
+                // Bad or missing magic — not salvageable as a log.
+                if scan.valid_len > 0 {
+                    keep_end = Some(Self::replay(&mut prepared, scan.frames, &wal_path)?.0);
                 }
+            }
+            install_views(&mut prepared)?;
+            let wal = match (log, keep_end) {
+                (Some(bytes), Some(keep_end)) => {
+                    if keep_end < bytes.len() as u64 {
+                        wal::truncate_to_valid(&io, &wal_path, keep_end)?;
+                    }
+                    Wal::open(&io, &wal_path)?
+                }
+                _ => Wal::create(&io, &wal_path)?,
             };
             let durable_epoch = prepared.epoch();
             DurableDatabase {

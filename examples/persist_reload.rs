@@ -70,9 +70,9 @@ fn main() -> raqlet::Result<()> {
     // 4. "Crash": drop the store without any orderly shutdown...
     drop(store);
 
-    // 5. ...and recover. Opening replays any surviving WAL frames through
-    //    the same IVM path, so the reinstalled standing view matches the
-    //    pre-crash one exactly.
+    // 5. ...and recover. Opening replays any surviving WAL frames into the
+    //    extensional set, then evaluates the standing view once over the
+    //    recovered state, so it matches the pre-crash one exactly.
     let specs = [ViewSpec::new(tc_program(), "tc")];
     let store = DurableDatabase::open_with(&dir, StoreOptions::default(), &specs)?;
     let after = store.prepared().view(0).map(|r| r.sorted()).unwrap_or_default();
