@@ -277,11 +277,10 @@ impl DurableDatabase {
             }
         };
 
-        // Rebuild the working set at the snapshot's durable epoch. No view
-        // is installed during replay, so each frame is a plain extensional
-        // apply; each view is then evaluated once over the recovered state,
-        // before anything is written, so a refused spec leaves the
-        // directory untouched.
+        // Rebuild the working set at the snapshot's durable epoch. Views
+        // are installed after replay, so each frame is a plain extensional
+        // apply, and before anything is written, so a refused spec leaves
+        // the directory untouched.
         let mut prepared = PreparedDatabase::new(db);
         prepared.set_epoch(snap_epoch);
         let install_views = |prepared: &mut PreparedDatabase| -> Result<()> {
@@ -336,24 +335,24 @@ impl DurableDatabase {
             // Current-generation recovery: replay `wal.raq`, install the
             // views, then truncate its torn/dead tail so it is appendable
             // again.
-            let log = read_file_if_exists(&wal_path)?;
-            let mut keep_end = None;
-            if let Some(bytes) = &log {
-                let scan = wal::scan(bytes, &wal_path.display().to_string());
+            let mut replayed = None;
+            if let Some(bytes) = read_file_if_exists(&wal_path)? {
+                let scan = wal::scan(&bytes, &wal_path.display().to_string());
                 // Bad or missing magic — not salvageable as a log.
                 if scan.valid_len > 0 {
-                    keep_end = Some(Self::replay(&mut prepared, scan.frames, &wal_path)?.0);
+                    let (keep_end, _) = Self::replay(&mut prepared, scan.frames, &wal_path)?;
+                    replayed = Some((keep_end, bytes.len() as u64));
                 }
             }
             install_views(&mut prepared)?;
-            let wal = match (log, keep_end) {
-                (Some(bytes), Some(keep_end)) => {
-                    if keep_end < bytes.len() as u64 {
+            let wal = match replayed {
+                Some((keep_end, len)) => {
+                    if keep_end < len {
                         wal::truncate_to_valid(&io, &wal_path, keep_end)?;
                     }
                     Wal::open(&io, &wal_path)?
                 }
-                _ => Wal::create(&io, &wal_path)?,
+                None => Wal::create(&io, &wal_path)?,
             };
             let durable_epoch = prepared.epoch();
             DurableDatabase {
