@@ -26,7 +26,7 @@
 //! database holds the same `Arc<ValueDict>`), which is what makes
 //! cross-relation cell comparisons inside one engine run valid. The
 //! dictionary is append-only — ids are never invalidated — and internally
-//! synchronised, so read-only evaluation threads may decode (and, for
+//! synchronised, so threads sharing a database may decode (and, for
 //! arithmetic overflow, encode) concurrently.
 //!
 //! ```
@@ -148,9 +148,9 @@ pub const fn inline_int(cell: Cell) -> Option<i64> {
 /// side-table.
 ///
 /// Internally synchronised (`RwLock`; the hot decode path takes the read
-/// side) so scoped evaluation worker threads can share it. Ids are never
-/// reused or invalidated, which is what lets prepared executions keep a warm
-/// dictionary across runs and lets relation clones stay comparable.
+/// side) so threads can share it. Ids are never reused or invalidated,
+/// which is what lets prepared executions keep a warm dictionary across
+/// runs and lets relation clones stay comparable.
 #[derive(Debug, Default)]
 pub struct ValueDict {
     inner: RwLock<DictInner>,

@@ -309,10 +309,10 @@ impl fmt::Display for RaqletError {
 impl std::error::Error for RaqletError {}
 
 /// Extract a human-readable message from a panic payload (the `Box<dyn Any>`
-/// returned by `std::thread::JoinHandle::join` or `std::panic::catch_unwind`).
+/// returned by `std::panic::catch_unwind`).
 ///
-/// Used by the engines to convert a caught worker panic into a structured
-/// [`RaqletError::Internal`] instead of unwinding through scoped threads.
+/// Used by the engines to convert a caught panic into a structured
+/// [`RaqletError::Internal`].
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()

@@ -3,14 +3,13 @@
 //! A [`QueryGuard`] travels by reference through every evaluation path (the
 //! Datalog, SQL, and graph engines plus incremental view maintenance) and is
 //! consulted at well-defined checkpoints: the top of each fixpoint round,
-//! before each strongly connected component, at the start of every parallel
-//! rule-application chunk, and periodically inside join/scan inner loops so a
-//! single dense round cannot overshoot a deadline by more than a bounded
-//! amount of work. A tripped guard surfaces as one of the structured error
-//! variants [`RaqletError::Timeout`], [`RaqletError::BudgetExceeded`], or
-//! [`RaqletError::Cancelled`], each carrying the partial
-//! [`EvalStats`](crate::stats::EvalStats)
-//! accumulated up to the trip.
+//! before each strongly connected component, and periodically inside
+//! join/scan inner loops so a single dense round cannot overshoot a deadline
+//! by more than a bounded amount of work. A tripped guard surfaces as one of
+//! the structured error variants [`RaqletError::Timeout`],
+//! [`RaqletError::BudgetExceeded`], or [`RaqletError::Cancelled`], each
+//! carrying the partial [`EvalStats`](crate::stats::EvalStats) accumulated
+//! up to the trip.
 //!
 //! The guard is deliberately cheap when idle: a default (unlimited) guard is
 //! a single branch per checkpoint, so the ungoverned public APIs can share
@@ -68,8 +67,6 @@ pub enum CheckPoint {
     /// Before evaluating one strongly connected component (or one aggregate
     /// rule batch) of a stratum.
     Scc,
-    /// Start of a parallel rule-application chunk, on the worker thread.
-    ParallelChunk,
     /// Periodic check inside a join/scan inner loop (every
     /// [`JOIN_SCAN_PERIOD`] candidate rows), and once after each Datalog rule
     /// application's join, before its rows are stored.
@@ -124,9 +121,10 @@ pub type FaultHook = dyn Fn(CheckPoint, u64) -> Option<InjectedFault> + Send + S
 /// # let _ = guard;
 /// ```
 ///
-/// The guard is `Sync`: parallel rule-application workers check the same
-/// guard concurrently. All counters are relaxed atomics — checkpoints need
-/// no ordering guarantees beyond eventual visibility.
+/// The guard is `Sync`, so the thread that cancels or watches a call can
+/// share it with the thread that evaluates. All counters are relaxed
+/// atomics — checkpoints need no ordering guarantees beyond eventual
+/// visibility.
 pub struct QueryGuard {
     /// False for a fully unlimited guard: checkpoints return immediately.
     armed: bool,
@@ -294,8 +292,8 @@ impl QueryGuard {
             match hook(site, hit) {
                 None => {}
                 Some(InjectedFault::Cancel) => {
-                    // Trip the real token so sibling workers stop too and the
-                    // injected fault is indistinguishable from a user cancel.
+                    // Trip the real token so the injected fault is
+                    // indistinguishable from a user cancel.
                     self.token.cancel();
                 }
                 Some(InjectedFault::Timeout) => {
@@ -430,14 +428,14 @@ mod tests {
         guard.checkpoint(CheckPoint::FixpointRound).unwrap();
         let err = guard.checkpoint(CheckPoint::FixpointRound).unwrap_err();
         assert!(matches!(err, RaqletError::Cancelled { .. }), "{err:?}");
-        assert!(token.is_cancelled(), "sibling workers observe the injected cancel");
+        assert!(token.is_cancelled(), "token holders observe the injected cancel");
     }
 
     #[test]
     fn injected_panic_panics_at_the_checkpoint() {
         let guard = QueryGuard::new().with_fault_hook(Arc::new(|_, _| Some(InjectedFault::Panic)));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = guard.checkpoint(CheckPoint::ParallelChunk);
+            let _ = guard.checkpoint(CheckPoint::JoinScan);
         }));
         assert!(result.is_err());
     }

@@ -656,9 +656,8 @@ impl Relation {
         self.delta.chunks_exact(self.stride).map(|row| self.decode_row(&row[..self.arity]))
     }
 
-    /// The frontier as one flat packed slice of stride-wide rows, so callers
-    /// can partition it into chunks (parallel delta-driven rule evaluation
-    /// splits this slice across worker threads at row boundaries).
+    /// The frontier as one flat packed slice of stride-wide rows: the rows a
+    /// delta-driven rule application pins its driving atom to.
     pub fn delta_cells(&self) -> &[Cell] {
         &self.delta
     }
@@ -700,8 +699,7 @@ impl Relation {
 
     /// The raw arena as one flat slice of stride-wide rows, **including**
     /// tombstoned rows (marked by [`TOMBSTONE_CELL`] in their first word).
-    /// Parallel round-zero evaluation partitions this slice across worker
-    /// threads; consumers must skip tombstoned rows.
+    /// Consumers must skip tombstoned rows.
     pub fn full_cells(&self) -> &[Cell] {
         &self.cells
     }

@@ -31,8 +31,8 @@ pub struct EvalStats {
     /// Total tuples derived (including duplicates discarded by set
     /// semantics).
     pub tuples_derived: usize,
-    /// Worker tasks spawned for partitioned rule applications (0 when every
-    /// rule ran on the calling thread). Both delta-driven and round-zero
-    /// applications count.
+    /// Always 0: every rule application runs on the calling thread. Kept
+    /// only because the benchmark harness reads it; the next benchmark-only
+    /// change (ROADMAP item 0) removes it.
     pub parallel_tasks: usize,
 }

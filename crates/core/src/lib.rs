@@ -40,8 +40,8 @@ pub use raqlet_common::{
 pub use raqlet_cypher::parse_pg_schema;
 pub use raqlet_dlir::{DlirProgram, LoweredQuery};
 pub use raqlet_engine::{
-    DatalogConfig, DatalogEngine, EdbDelta, EvalStrategy, GraphEngine, PreparedDatabase,
-    PropertyGraph, SqlEngine, SqlProfile, TableCatalog,
+    DatalogEngine, EdbDelta, EvalStrategy, GraphEngine, PreparedDatabase, PropertyGraph, SqlEngine,
+    SqlProfile, TableCatalog,
 };
 pub use raqlet_opt::{OptLevel, OptimizedProgram, PassConfig, TargetBackend};
 pub use raqlet_pgir::{LowerOptions, PgirQuery};

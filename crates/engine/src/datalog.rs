@@ -44,21 +44,14 @@
 //! * relations annotated with a `@min` lattice keep only the minimal value of
 //!   the annotated column per group, which makes shortest-path recursion
 //!   terminate on cyclic data;
-//! * rule applications are **parallel**: the join order and every index it
-//!   will probe are prepared up front on the calling thread, after which the
-//!   join needs only `&Database` — so the driving scan (the delta of a
-//!   recursive atom, or in round zero the full arena of the first
-//!   unconstrained atom) is partitioned into packed-row chunks evaluated
-//!   concurrently with [`std::thread::scope`]. Per-worker cell buffers are
-//!   merged in chunk order and deduplicated through the head relation's
-//!   staged set, making results identical to sequential evaluation
-//!   regardless of thread count or partition boundaries (see
-//!   [`DatalogConfig`]).
+//! * every rule application is one join on the calling thread, driven by
+//!   the delta of one recursive atom (or, in round zero, by the atom the
+//!   compiled schedule orders first); its rows are deduplicated through the
+//!   head relation's staged set.
 
 use std::collections::HashMap;
 
 use raqlet_common::cell::{is_tombstone, Cell, ValueDict, NULL_CELL, UNBOUND_CELL};
-use raqlet_common::error::panic_message;
 use raqlet_common::guard::{CheckPoint, QueryGuard, JOIN_SCAN_PERIOD};
 use raqlet_common::{Database, RaqletError, Relation, Result, Value};
 use raqlet_dlir::{
@@ -76,68 +69,6 @@ pub enum EvalStrategy {
     /// Only join against the tuples derived in the previous iteration.
     #[default]
     SemiNaive,
-}
-
-/// Configuration for the Datalog engine: the evaluation strategy plus the
-/// parallelism knobs of the delta-partitioned semi-naive evaluator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DatalogConfig {
-    /// Fixpoint evaluation strategy.
-    pub strategy: EvalStrategy,
-    /// Worker-thread count for partitioned rule evaluation. `0` (the
-    /// default) resolves at evaluation time to the `RAQLET_THREADS`
-    /// environment variable if it holds a positive integer (CI pins this so
-    /// timing is reproducible; results are identical at any count), else to
-    /// [`std::thread::available_parallelism`]. `1` disables parallelism.
-    pub threads: usize,
-    /// Minimum number of driving-scan rows before one rule application is
-    /// split across worker threads; below this, spawn overhead dominates and
-    /// the rule is evaluated on the calling thread.
-    pub parallel_threshold: usize,
-}
-
-impl Default for DatalogConfig {
-    fn default() -> Self {
-        DatalogConfig { strategy: EvalStrategy::SemiNaive, threads: 0, parallel_threshold: 256 }
-    }
-}
-
-impl DatalogConfig {
-    /// This configuration with an explicit worker count (`0` = auto, `1` =
-    /// sequential).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// This configuration with the given parallel-split threshold.
-    pub fn with_parallel_threshold(mut self, rows: usize) -> Self {
-        self.parallel_threshold = rows;
-        self
-    }
-
-    /// Resolve the effective worker count (see [`DatalogConfig::threads`]).
-    ///
-    /// The auto-detected value is computed once per process and cached:
-    /// `available_parallelism` re-reads cgroup quota files on every call
-    /// (~10µs — measurable against sub-50µs queries), and the `RAQLET_THREADS`
-    /// override is set before the process starts anyway.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        *AUTO.get_or_init(|| {
-            if let Ok(v) = std::env::var("RAQLET_THREADS") {
-                if let Ok(n) = v.trim().parse::<usize>() {
-                    if n >= 1 {
-                        return n;
-                    }
-                }
-            }
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        })
-    }
 }
 
 // `EvalStats` moved to `raqlet_common` so guard-trip errors can carry partial
@@ -204,38 +135,29 @@ impl EvalResult {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DatalogEngine {
-    /// Engine configuration: strategy plus parallelism knobs.
-    pub config: DatalogConfig,
+    /// Fixpoint evaluation strategy.
+    pub strategy: EvalStrategy,
 }
 
 impl DatalogEngine {
-    /// An engine using semi-naive evaluation (auto-detected thread count).
+    /// An engine using semi-naive evaluation.
     pub fn new() -> Self {
-        DatalogEngine { config: DatalogConfig::default() }
+        DatalogEngine::default()
     }
 
     /// An engine using naive evaluation: the reference that
     /// `tests/property_tests.rs` and `naive_and_semi_naive_agree` check
     /// semi-naive evaluation against.
     pub fn naive() -> Self {
-        DatalogEngine {
-            config: DatalogConfig { strategy: EvalStrategy::Naive, ..Default::default() },
-        }
+        DatalogEngine { strategy: EvalStrategy::Naive }
     }
 
-    /// An engine with the given configuration.
-    pub fn with_config(config: DatalogConfig) -> Self {
-        DatalogEngine { config }
-    }
-
-    /// A semi-naive engine with an explicit worker count (`1` = sequential).
-    pub fn with_threads(threads: usize) -> Self {
-        DatalogEngine { config: DatalogConfig::default().with_threads(threads) }
-    }
-
-    /// The evaluation strategy in use.
-    pub fn strategy(&self) -> EvalStrategy {
-        self.config.strategy
+    /// The same engine as [`DatalogEngine::new`]: evaluation runs on the
+    /// calling thread whatever the count. Kept only because the benchmark
+    /// harness calls it; the next benchmark-only change (ROADMAP item 0)
+    /// removes it.
+    pub fn with_threads(_threads: usize) -> Self {
+        DatalogEngine::new()
     }
 
     /// Evaluate `program` over the extensional database `edb`.
@@ -245,8 +167,8 @@ impl DatalogEngine {
 
     /// Evaluate `program` over `edb` under an execution guard: the deadline,
     /// budgets and cancellation token of `guard` are checked at fixpoint
-    /// rounds, SCC boundaries, parallel chunk starts and periodically inside
-    /// join scans. A tripped guard returns [`RaqletError::Timeout`],
+    /// rounds, SCC boundaries, after each rule application and periodically
+    /// inside join scans. A tripped guard returns [`RaqletError::Timeout`],
     /// [`RaqletError::BudgetExceeded`] or [`RaqletError::Cancelled`] carrying
     /// the partial [`EvalStats`] accumulated so far; `edb` is never modified
     /// either way.
@@ -463,7 +385,7 @@ impl DatalogEngine {
                 if plan.recursive_positions.is_empty() {
                     continue;
                 }
-                match self.config.strategy {
+                match self.strategy {
                     EvalStrategy::Naive => {
                         self.fire(plan, db, None, true, stats, guard)?;
                     }
@@ -489,9 +411,9 @@ impl DatalogEngine {
         Ok(())
     }
 
-    /// One counted rule application: [`DatalogEngine::apply_rule`], a guard
-    /// checkpoint, then [`store_derived`] into the head relation (staged for
-    /// the next [`Relation::advance`] when `stage`, else published). Returns
+    /// One counted rule application: [`apply_rule`], a guard checkpoint,
+    /// then [`store_derived`] into the head relation (staged for the next
+    /// [`Relation::advance`] when `stage`, else published). Returns
     /// the derived rows. The checkpoint bounds the unchecked stretch of a
     /// round: a join of fewer than [`JOIN_SCAN_PERIOD`] candidates ticks no
     /// `JoinScan` check of its own, and the staging after it is unchecked.
@@ -505,132 +427,38 @@ impl DatalogEngine {
         guard: &QueryGuard,
     ) -> Result<Derived> {
         stats.rule_applications += 1;
-        let derived = self.apply_rule(plan, db, delta_pos, stats, guard)?;
+        let derived = apply_rule(plan, db, delta_pos, guard)?;
         stats.tuples_derived += derived.rows;
         guard.checkpoint(CheckPoint::JoinScan)?;
         store_derived(plan, db, &derived, stage)?;
         Ok(derived)
     }
+}
 
-    /// Evaluate one rule, returning the derived head rows (packed). When
-    /// `delta_pos` is given, the positive atom at that body position is
-    /// pinned to the relation's delta (its previous-round frontier) and
-    /// drives the join. In round zero the full arena of the first atom in
-    /// the order drives it, when that atom carries no bound columns. The
-    /// driving pin is partitioned across worker threads when it is large
-    /// enough.
-    pub(crate) fn apply_rule(
-        &self,
-        plan: &RulePlan,
-        db: &Database,
-        delta_pos: Option<usize>,
-        stats: &mut EvalStats,
-        guard: &QueryGuard,
-    ) -> Result<Derived> {
-        // The join order and probe-column schedule were computed once at
-        // compile time ([`RulePlan::compile`]); every index they name was
-        // materialized up front by [`DatalogEngine::evaluate_plan`]. The
-        // join therefore needs only `&Database`, so pin chunks can be
-        // evaluated concurrently on scoped worker threads.
-        let schedule = plan.schedule_for(delta_pos);
-
-        // The driving pin: the delta slice for delta-driven applications;
-        // for round-zero (and aggregate/naive) applications, the full arena
-        // of the first atom in the order — but only when that atom carries
-        // no bound columns (otherwise the join probes its index, which a
-        // partitioned scan could not reproduce order-for-order). Either way
-        // the pinned atom is the schedule's first, so binding it first keeps
-        // the compiled order.
-        let pin: Option<Pin> = match delta_pos {
-            Some(pos) => {
-                let PlanElem::Atom(atom) = &plan.body[pos] else {
-                    unreachable!("delta position always names a positive atom")
-                };
-                db.get(&atom.relation).map(|r| Pin {
-                    pos,
-                    rows: r.delta_cells(),
-                    stride: r.stride(),
-                })
-            }
-            None => schedule.order.first().and_then(|&pos| {
-                let PlanElem::Atom(atom) = &plan.body[pos] else { return None };
-                if !schedule.prep.atom_columns[pos].is_empty() {
-                    return None;
-                }
-                db.get(&atom.relation).map(|r| Pin {
-                    pos,
-                    rows: r.full_cells(),
-                    stride: r.stride(),
-                })
-            }),
+/// Evaluate one rule, returning the derived head rows (packed). When
+/// `delta_pos` is given, the positive atom at that body position is
+/// pinned to the relation's delta (its previous-round frontier) and
+/// drives the join; otherwise the join runs the compiled schedule over
+/// the full relations.
+pub(crate) fn apply_rule(
+    plan: &RulePlan,
+    db: &Database,
+    delta_pos: Option<usize>,
+    guard: &QueryGuard,
+) -> Result<Derived> {
+    // The join order and probe-column schedule were computed once at
+    // compile time ([`RulePlan::compile`]); every index they name was
+    // materialized up front by [`DatalogEngine::evaluate_plan`].
+    let schedule = plan.schedule_for(delta_pos);
+    let pin = delta_pos.and_then(|pos| {
+        let PlanElem::Atom(atom) = &plan.body[pos] else {
+            unreachable!("delta position always names a positive atom")
         };
-
-        if let Some(pin) = &pin {
-            let nrows = pin.rows.len() / pin.stride;
-            // Cap the worker count so every chunk carries at least
-            // `parallel_threshold` pinned rows: spawning a scoped thread for
-            // a handful of rows costs more than joining them.
-            let threads = self.config.effective_threads();
-            let workers = threads.min(nrows / self.config.parallel_threshold.max(1)).max(1);
-            if workers > 1 && plan.agg.is_none() {
-                let chunk_rows = nrows.div_ceil(workers);
-                let mut results: Vec<Result<Derived>> = Vec::new();
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = pin
-                        .rows
-                        .chunks(chunk_rows * pin.stride)
-                        .map(|slice| {
-                            let piece = Pin { pos: pin.pos, rows: slice, stride: pin.stride };
-                            s.spawn(move || {
-                                guard.checkpoint(CheckPoint::ParallelChunk)?;
-                                derive(plan, db, schedule, &[piece], &[], guard)
-                            })
-                        })
-                        .collect();
-                    // A panicking worker must not unwind through the scope
-                    // (which would re-raise on the calling thread and abandon
-                    // its siblings' results): contain the panic here and
-                    // surface it as a structured internal error. Every handle
-                    // is joined either way, so no worker outlives the call.
-                    results.extend(handles.into_iter().map(|h| {
-                        h.join().unwrap_or_else(|payload| {
-                            Err(RaqletError::internal(format!(
-                                "evaluation worker panicked: {}",
-                                panic_message(payload.as_ref())
-                            )))
-                        })
-                    }));
-                });
-                stats.parallel_tasks += results.len();
-                // Merge the per-worker buffers in chunk order so derivation
-                // order — and therefore lattice-application and error order —
-                // matches a sequential scan of the same rows. Deduplication
-                // happens when the caller stages into the head relation.
-                let mut out = Derived::new(plan.head_stride());
-                let mut first_err: Option<RaqletError> = None;
-                for worker in results {
-                    match worker {
-                        Ok(part) => {
-                            out.rows += part.rows;
-                            out.cells.extend(part.cells);
-                        }
-                        // Keep draining: errors must not discard sibling
-                        // results silently mid-merge, and the first error in
-                        // chunk order is the one a sequential scan would hit.
-                        Err(e) => first_err = first_err.or(Some(e)),
-                    }
-                }
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-                guard.add_tuples(out.rows);
-                return Ok(out);
-            }
-        }
-        let out = derive(plan, db, schedule, pin.as_slice(), &[], guard)?;
-        guard.add_tuples(out.rows);
-        Ok(out)
-    }
+        db.get(&atom.relation).map(|r| Pin { pos, rows: r.delta_cells(), stride: r.stride() })
+    });
+    let out = derive(plan, db, schedule, pin.as_slice(), &[], guard)?;
+    guard.add_tuples(out.rows);
+    Ok(out)
 }
 
 /// Drop the round (delta and staging) bookkeeping of the named relations.
@@ -659,12 +487,11 @@ impl Derived {
 /// Derive head rows on the current thread: [`join`] the body through
 /// `schedule` with the given pins into one packed [`Envs`] buffer, then
 /// instantiate the head once per environment row, or aggregate the rows
-/// when the rule aggregates. Every rule application — evaluation's
-/// sequential path, each parallel chunk, every incremental-maintenance join
-/// that produces rows, and every SQL-sim SELECT — goes through here. A
-/// probe whose index is missing scans instead; Datalog evaluation builds
-/// every index the schedule probes up front (see
-/// [`DatalogEngine::evaluate_plan`]).
+/// when the rule aggregates. Every rule application — evaluation's, every
+/// incremental-maintenance join that produces rows, and every SQL-sim
+/// SELECT — goes through here. A probe whose index is missing scans
+/// instead; Datalog evaluation builds every index the schedule probes up
+/// front (see [`DatalogEngine::evaluate_plan`]).
 pub(crate) fn derive(
     plan: &RulePlan,
     db: &Database,
@@ -690,7 +517,7 @@ pub(crate) fn derive(
 /// One pinned body position of a join: the atom at `pos` — positive, or
 /// negated for incremental maintenance's negation seeding — ranges over the
 /// given packed rows instead of its stored relation. The rows are a delta
-/// snapshot, an arena chunk (which may hold tombstoned rows, skipped by the
+/// snapshot, an arena slice (which may hold tombstoned rows, skipped by the
 /// join) or an incremental-maintenance change set.
 #[derive(Clone, Copy)]
 pub(crate) struct Pin<'a> {
@@ -708,16 +535,15 @@ pub(crate) struct Pin<'a> {
 /// it, packed back to back in one [`Envs`] buffer.
 /// Read-only over the database — every index the schedule probes was
 /// materialized by [`DatalogEngine::evaluate_plan`] (or
-/// [`crate::PreparedDatabase::install_view`] for the maintenance schedules)
-/// — so it is safe to run concurrently over disjoint pin chunks.
+/// [`crate::PreparedDatabase::install_view`] for the maintenance schedules).
 ///
 /// Pinned atoms bind first, in pin order (cross product across pins); every
 /// other positive atom then probes the database's current state in the
-/// schedule's order. Evaluation pins at most one atom — the delta or
-/// round-zero chunk, which the schedule already orders first. Incremental
-/// maintenance pins the net changes of the signed multilinear delta
-/// expansion, DRed's over-deletion and insert propagation, and passes the
-/// schedule compiled for its first pinned positive atom: pre-binding extra
+/// schedule's order. Evaluation pins at most one atom — the delta, whose
+/// atom the schedule already orders first. Incremental maintenance pins the
+/// net changes of the signed multilinear delta expansion, DRed's
+/// over-deletion and insert propagation, and passes the schedule compiled
+/// for its first pinned positive atom: pre-binding extra
 /// pins only grows the bound-variable set, and a probe column set is sound
 /// under any superset of the bindings it was planned for.
 ///
@@ -812,11 +638,11 @@ pub(crate) fn join(
 /// statically, including the bindings contributed by `=` assignment
 /// constraints as they become ready; this simulation agrees exactly with
 /// the runtime binding behaviour of `apply_ready_constraints`, so the
-/// returned [`JoinPrep`] column sets are precisely what the (read-only,
-/// possibly multi-threaded) join probes. No index is built here — the
-/// schedule *declares* the (relation, columns) index requirements, which
-/// [`ProgramPlan::prepare`] aggregates and
-/// [`DatalogEngine::evaluate_plan`] materializes once up front.
+/// returned [`JoinPrep`] column sets are precisely what the (read-only)
+/// join probes. No index is built here — the schedule *declares* the
+/// (relation, columns) index requirements, which [`ProgramPlan::prepare`]
+/// aggregates and [`DatalogEngine::evaluate_plan`] materializes once up
+/// front.
 fn plan_join_static(body: &[PlanElem], nvars: usize, delta_pos: Option<usize>) -> JoinSchedule {
     let mut prep = JoinPrep {
         atom_columns: vec![Vec::new(); body.len()],
@@ -949,7 +775,7 @@ fn propagate_assignments(body: &[PlanElem], bound: &mut [bool]) {
 
 /// The per-rule-application probe schedule: which columns each body element
 /// probes with, computed once at compile time by `plan_join_static` and
-/// reused by every application and every worker.
+/// reused by every application.
 #[derive(Debug, Clone)]
 pub(crate) struct JoinPrep {
     /// For each body index holding a positive atom: the columns bound when
@@ -1539,14 +1365,13 @@ impl ProgramPlan {
 
 /// Extend each environment with every tuple of the atom's relation that
 /// matches `atom` under the environment, writing the extensions straight
-/// into a new packed buffer in (environment, candidate) order. With a pin (`scan`), the candidate
-/// rows come from the pin's packed slice (a delta, an arena chunk in
-/// parallel round zero — tombstoned rows are skipped — or a maintenance
-/// change set); otherwise `bound_columns` (the probe columns
-/// `plan_join_static` compiled, equal to the columns bound in every
-/// environment at this point) probe the persistent hash index that
-/// [`DatalogEngine::evaluate_plan`] materialized, falling back to a scan if
-/// absent. Read-only, so worker threads can share the database.
+/// into a new packed buffer in (environment, candidate) order. With a pin
+/// (`scan`), the candidate rows come from the pin's packed slice (a delta,
+/// an arena slice — tombstoned rows are skipped — or a maintenance change
+/// set); otherwise `bound_columns` (the probe columns `plan_join_static`
+/// compiled, equal to the columns bound in every environment at this point)
+/// probe the persistent hash index that [`DatalogEngine::evaluate_plan`]
+/// materialized, falling back to a scan if absent.
 fn extend_with_atom(
     envs: &Envs,
     atom: &PlanAtom,
@@ -1656,7 +1481,6 @@ fn extend_with_atom(
 /// [`DatalogEngine::evaluate_plan`] materialized), the check is an index
 /// probe; otherwise it falls back to a scan with the original
 /// unbound-variable semantics (an unbound variable never matches).
-/// Read-only, so worker threads can share the database.
 fn apply_negation(envs: &mut Envs, atom: &PlanAtom, db: &Database, probe: Option<&[usize]>) {
     if envs.is_empty() {
         return;
@@ -2418,51 +2242,27 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         // Exact counters and guard-checkpoint hits for tc over a 6-edge
-        // chain, on one thread and forcibly partitioned over four: a change
-        // to the join or derive path must leave every one of them in place.
-        let sequential = DatalogEngine::with_threads(1);
-        let parallel = DatalogEngine::with_config(
-            DatalogConfig::default().with_threads(4).with_parallel_threshold(1),
-        );
-        let cases = [
-            (
-                sequential,
-                EvalStats {
-                    strata: 1,
-                    sccs: 1,
-                    looping_sccs: 1,
-                    iterations: 7,
-                    rule_applications: 8,
-                    tuples_derived: 21,
-                    parallel_tasks: 0,
-                },
-                15,
-            ),
-            (
-                parallel,
-                EvalStats {
-                    strata: 1,
-                    sccs: 1,
-                    looping_sccs: 1,
-                    iterations: 7,
-                    rule_applications: 8,
-                    tuples_derived: 21,
-                    parallel_tasks: 18,
-                },
-                33,
-            ),
-        ];
+        // chain: a change to the join or derive path must leave every one of
+        // them in place.
+        let engine = DatalogEngine::new();
         let db = chain_edges(6);
-        for (engine, expected, checkpoints) in cases {
-            let result = engine.evaluate(&tc_program(), &db).unwrap();
-            assert_eq!(result.relation("tc").len(), 21);
-            assert_eq!(result.stats, expected, "threads {}", engine.config.threads);
-            let hits = crate::fault::count_checkpoints(|g| {
-                engine.evaluate_guarded(&tc_program(), &db, g).map(|_| ())
-            })
-            .unwrap();
-            assert_eq!(hits, checkpoints, "threads {}", engine.config.threads);
-        }
+        let result = engine.evaluate(&tc_program(), &db).unwrap();
+        assert_eq!(result.relation("tc").len(), 21);
+        let expected = EvalStats {
+            strata: 1,
+            sccs: 1,
+            looping_sccs: 1,
+            iterations: 7,
+            rule_applications: 8,
+            tuples_derived: 21,
+            parallel_tasks: 0,
+        };
+        assert_eq!(result.stats, expected);
+        let hits = crate::fault::count_checkpoints(|g| {
+            engine.evaluate_guarded(&tc_program(), &db, g).map(|_| ())
+        })
+        .unwrap();
+        assert_eq!(hits, 15);
     }
 
     /// Guard-checkpoint hits of one guarded evaluation, by checkpoint kind,
@@ -2489,31 +2289,23 @@ mod tests {
         kinds
     }
 
-    /// Evaluate `program` once on one thread and once forcibly partitioned
-    /// over four, asserting each run's full stats, output sizes and
+    /// Evaluate `program`, asserting its full stats, output sizes and
     /// checkpoint hits per kind.
     fn assert_work_counts(
         program: &DlirProgram,
         db: &Database,
         sizes: &[(&str, usize)],
-        cases: [(EvalStats, &[(&str, u64)]); 2],
+        stats: EvalStats,
+        kinds: &[(&str, u64)],
     ) {
-        let engines = [
-            DatalogEngine::with_threads(1),
-            DatalogEngine::with_config(
-                DatalogConfig::default().with_threads(4).with_parallel_threshold(1),
-            ),
-        ];
-        for (engine, (stats, kinds)) in engines.iter().zip(cases) {
-            let threads = engine.config.threads;
-            let result = engine.evaluate(program, db).unwrap();
-            for &(name, len) in sizes {
-                assert_eq!(result.relation(name).len(), len, "{name}, threads {threads}");
-            }
-            assert_eq!(result.stats, stats, "threads {threads}");
-            let kinds: Vec<(String, u64)> = kinds.iter().map(|&(k, n)| (k.into(), n)).collect();
-            assert_eq!(checkpoints_by_kind(engine, program, db), kinds, "threads {threads}");
+        let engine = DatalogEngine::new();
+        let result = engine.evaluate(program, db).unwrap();
+        for &(name, len) in sizes {
+            assert_eq!(result.relation(name).len(), len, "{name}");
         }
+        assert_eq!(result.stats, stats);
+        let kinds: Vec<(String, u64)> = kinds.iter().map(|&(k, n)| (k.into(), n)).collect();
+        assert_eq!(checkpoints_by_kind(&engine, program, db), kinds);
     }
 
     /// A field-sensitive Andersen points-to analysis: `pt` and `hpt` are
@@ -2575,26 +2367,21 @@ mod tests {
     fn points_to_work_counts_are_pinned() {
         // Exact work of a non-linear, mutually recursive program: a change
         // to the join or derive path must leave every counter in place.
-        let stats = |parallel_tasks| EvalStats {
+        let stats = EvalStats {
             strata: 1,
             sccs: 1,
             looping_sccs: 1,
             iterations: 23,
             rule_applications: 108,
             tuples_derived: 2012,
-            parallel_tasks,
+            parallel_tasks: 0,
         };
         assert_work_counts(
             &points_to_program(),
             &points_to_facts(48),
             &[("pt", 764), ("hpt", 118)],
-            [
-                (stats(0), &[("FixpointRound", 22), ("JoinScan", 108), ("Scc", 1)]),
-                (
-                    stats(406),
-                    &[("FixpointRound", 22), ("JoinScan", 108), ("ParallelChunk", 406), ("Scc", 1)],
-                ),
-            ],
+            stats,
+            &[("FixpointRound", 22), ("JoinScan", 108), ("Scc", 1)],
         );
     }
 
@@ -2617,28 +2404,23 @@ mod tests {
     fn large_closure_work_counts_are_pinned() {
         // Over 7 layers of 24 the first delta round joins 24^3 * 5 = 69 120
         // candidates in one application, more than `JOIN_SCAN_PERIOD`, so the
-        // sequential run pins the join's in-loop `JoinScan` tick too: one on
-        // top of the one `JoinScan` check after each of the 8 applications.
-        let stats = |parallel_tasks| EvalStats {
+        // run pins the join's in-loop `JoinScan` tick too: one on top of the
+        // one `JoinScan` check after each of the 8 applications.
+        let stats = EvalStats {
             strata: 1,
             sccs: 1,
             looping_sccs: 1,
             iterations: 7,
             rule_applications: 8,
             tuples_derived: 210_816,
-            parallel_tasks,
+            parallel_tasks: 0,
         };
         assert_work_counts(
             &tc_program(),
             &layered_edges(7, 24),
             &[("tc", 576 * 21)],
-            [
-                (stats(0), &[("FixpointRound", 6), ("JoinScan", 9), ("Scc", 1)]),
-                (
-                    stats(28),
-                    &[("FixpointRound", 6), ("JoinScan", 8), ("ParallelChunk", 28), ("Scc", 1)],
-                ),
-            ],
+            stats,
+            &[("FixpointRound", 6), ("JoinScan", 9), ("Scc", 1)],
         );
     }
 
@@ -2687,26 +2469,6 @@ mod tests {
         assert_eq!(edge.index_build_count(), 1);
         let tc = result.database.get("tc").unwrap();
         assert_eq!(tc.index_count(), 0, "tc is never probed, so it needs no index");
-    }
-
-    #[test]
-    fn round_zero_parallelism_engages_on_unconstrained_scans() {
-        // A non-recursive join whose driving atom scans the whole relation:
-        // with threshold 1 and several workers, round zero must split.
-        let mut p = DlirProgram::default();
-        p.add_rule(Rule::new(
-            Atom::with_vars("hop2", &["x", "z"]),
-            vec![atom("edge", &["x", "y"]), atom("edge", &["y", "z"])],
-        ));
-        p.add_output("hop2");
-        let db = chain_edges(64);
-        let parallel = DatalogEngine::with_config(
-            DatalogConfig::default().with_threads(4).with_parallel_threshold(1),
-        );
-        let result = parallel.evaluate(&p, &db).unwrap();
-        assert!(result.stats.parallel_tasks > 0, "round zero must partition: {:?}", result.stats);
-        let sequential = DatalogEngine::with_threads(1).evaluate(&p, &db).unwrap();
-        assert_eq!(result.relation("hop2").sorted(), sequential.relation("hop2").sorted());
     }
 
     #[test]

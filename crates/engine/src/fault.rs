@@ -6,7 +6,7 @@
 //! hit number at which to inject it. Because every engine checkpoint reports
 //! its global hit count to the guard's fault hook, a schedule deterministically
 //! picks one moment inside an evaluation — a fixpoint round, an SCC boundary,
-//! a parallel worker chunk, a join-scan tick, an IVM step — and fails it
+//! a join-scan tick, an IVM step — and fails it
 //! there. Sweeping seeds sweeps injection points across the whole execution.
 //!
 //! The module is compiled only for tests (`cfg(test)` or the `fault-inject`
@@ -72,10 +72,8 @@ impl FaultSchedule {
 
 /// Run `f`, converting any panic into [`RaqletError::Internal`] carrying the
 /// panic message. The differential suites use this to keep sweeping after an
-/// injected synthetic panic that fires on the calling thread (worker-thread
-/// panics are already contained inside the engine; `PreparedDatabase`'s
-/// guarded entry points contain calling-thread panics themselves, so this is
-/// for driving the raw engines).
+/// injected synthetic panic (`PreparedDatabase`'s guarded entry points
+/// contain panics themselves, so this is for driving the raw engines).
 pub fn with_contained_panics<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         Err(RaqletError::internal(format!("contained panic: {}", panic_message(payload.as_ref()))))

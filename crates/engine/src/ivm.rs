@@ -52,8 +52,8 @@ use raqlet_common::{Database, RaqletError, Result, SupportChange, SupportCounts,
 use raqlet_dlir::LatticeMerge;
 
 use crate::datalog::{
-    derive, join, store_derived, DatalogEngine, Derived, EvalStats, Pin, PlanElem, PlanTerm,
-    ProgramPlan, RulePlan, SccPlan, StratumPlan,
+    apply_rule, derive, join, store_derived, DatalogEngine, Derived, EvalStats, Pin, PlanElem,
+    PlanTerm, ProgramPlan, RulePlan, SccPlan, StratumPlan,
 };
 
 /// Above this many changed body positions in one rule, the signed subset
@@ -304,10 +304,8 @@ pub(crate) fn validate_for_ivm(plan: &ProgramPlan, db: &Database) -> Result<()> 
 /// each of its rules once against the freshly evaluated fixpoint: the rule
 /// application's pre-deduplication multiplicity *is* the derivation count.
 pub(crate) fn build_support_counts(
-    engine: &DatalogEngine,
     plan: &ProgramPlan,
     db: &Database,
-    stats: &mut EvalStats,
     guard: &QueryGuard,
 ) -> Result<HashMap<String, SupportCounts>> {
     let mut counts = HashMap::new();
@@ -317,7 +315,7 @@ pub(crate) fn build_support_counts(
                 continue;
             }
             for rule in &scc.rules {
-                let derived = engine.apply_rule(rule, db, None, stats, guard)?;
+                let derived = apply_rule(rule, db, None, guard)?;
                 count_support(
                     counts.entry(rule.head_relation.clone()).or_default(),
                     rule,

@@ -7,8 +7,8 @@
 //! `docs/ARCHITECTURE.md` lists which engine stands in for which backend):
 //!
 //! * [`datalog`] — a stratified naive/semi-naive Datalog engine with lattice
-//!   (shortest-path) support and parallel delta-partitioned rule evaluation —
-//!   the Soufflé stand-in and Raqlet's golden reference implementation;
+//!   (shortest-path) support — the Soufflé stand-in and Raqlet's golden
+//!   reference implementation;
 //! * [`prepared`] — warm execution: a [`PreparedDatabase`] keeps the EDB row
 //!   arenas and persistent indexes alive across runs, eliminating the
 //!   per-call clone+reindex tax;
@@ -25,7 +25,7 @@
 //! Every engine entry point has a `*_guarded` variant taking a
 //! [`raqlet_common::QueryGuard`] — a wall-clock deadline, derived-tuple and
 //! heap budgets, and a cooperative cancellation token, checked at fixpoint
-//! rounds, SCC boundaries, parallel chunks and traversal steps. The `fault`
+//! rounds, SCC boundaries, join scans and traversal steps. The `fault`
 //! module (compiled for tests and the `fault-inject` feature only) sweeps
 //! deterministic fault schedules across those checkpoints to prove failure
 //! atomicity.
@@ -44,7 +44,7 @@ pub mod ivm;
 pub mod prepared;
 pub mod sql;
 
-pub use datalog::{DatalogConfig, DatalogEngine, EvalResult, EvalStats, EvalStrategy};
+pub use datalog::{DatalogEngine, EvalResult, EvalStats, EvalStrategy};
 pub use graph::{GraphEngine, GraphResult, GraphStats, PropertyGraph};
 pub use ivm::EdbDelta;
 pub use prepared::PreparedDatabase;

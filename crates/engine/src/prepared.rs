@@ -143,16 +143,11 @@ fn program_fingerprint(program: &DlirProgram) -> String {
 }
 
 impl PreparedDatabase {
-    /// Prepare a working set from an extensional database, using the default
-    /// (semi-naive, auto-threaded) engine.
+    /// Prepare a working set from an extensional database, evaluated by the
+    /// semi-naive engine.
     pub fn new(edb: Database) -> Self {
-        Self::with_engine(edb, DatalogEngine::new())
-    }
-
-    /// Prepare a working set evaluated by the given engine configuration.
-    pub fn with_engine(edb: Database, engine: DatalogEngine) -> Self {
         PreparedDatabase {
-            engine,
+            engine: DatalogEngine::new(),
             db: edb,
             last_stats: EvalStats::default(),
             executions: 0,
@@ -168,11 +163,6 @@ impl PreparedDatabase {
     /// indexes; derived relations of past runs are not retained).
     pub fn database(&self) -> &Database {
         &self.db
-    }
-
-    /// The engine executing programs against this working set.
-    pub fn engine(&self) -> &DatalogEngine {
-        &self.engine
     }
 
     /// Statistics of the most recent [`PreparedDatabase::run`].
@@ -355,7 +345,7 @@ impl PreparedDatabase {
             }
         }
         let outcome = contain_panics(|| {
-            let mut stats = self.engine.evaluate_plan(&plan, &mut self.db, guard)?;
+            let stats = self.engine.evaluate_plan(&plan, &mut self.db, guard)?;
             for (name, column_sets) in &ivm_indexes {
                 if !plan.is_idb(name) {
                     continue;
@@ -364,8 +354,7 @@ impl PreparedDatabase {
                     rel.require_indexes(column_sets);
                 }
             }
-            let counts =
-                ivm::build_support_counts(&self.engine, &plan, &self.db, &mut stats, guard)?;
+            let counts = ivm::build_support_counts(&plan, &self.db, guard)?;
             Ok((stats, counts))
         });
         let (stats, counts) = match outcome {

@@ -15,8 +15,7 @@
 //! plain transitive closure over the EDB, `@min` lattice shortest paths as
 //! a standing view, and a multi-view working set — so recovery exercises
 //! both fact replay and incremental view maintenance. The matrix sweeps
-//! 40 seeds per workload (120 injected crash schedules per run); CI
-//! executes the suite under both `RAQLET_THREADS=1` and the default pool.
+//! 40 seeds per workload (120 injected crash schedules per run).
 //!
 //! Direct byte-level corruption (flipped bytes, torn tails, double
 //! corruption) is covered by the scenario tests below the matrix. So are

@@ -6,15 +6,14 @@
 //! "control" through identical successful calls, then injects one fault into
 //! the subject via a seed-derived [`FaultSchedule`] (a fault kind plus the
 //! guard-checkpoint hit at which it fires — sweeping seeds sweeps injection
-//! points across fixpoint rounds, SCC boundaries, parallel chunks, join-scan
-//! ticks and IVM steps). After every *failed* call the subject's extensional
+//! points across fixpoint rounds, SCC boundaries, join-scan ticks and IVM
+//! steps). After every *failed* call the subject's extensional
 //! relations, its standing views (every derived relation, not just outputs),
 //! its epochs and its value dictionary must be identical to the control's —
 //! and a clean call afterwards must succeed with the control's result.
 //!
 //! The sweep sizes guarantee well over 100 distinct injection schedules per
-//! run; CI executes the suite under both `RAQLET_THREADS=1` and the default
-//! thread pool.
+//! run.
 
 use raqlet::{Database, DatalogEngine, EdbDelta, PreparedDatabase, Value};
 use raqlet_common::SplitMix64;

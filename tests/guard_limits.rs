@@ -5,8 +5,9 @@
 //! The acceptance bar for deadlines is quantitative: a deadline-bound dense
 //! non-linear transitive closure must return [`RaqletError::Timeout`] within
 //! **2x** the requested deadline (the engine checkpoints at fixpoint rounds,
-//! SCC boundaries, parallel chunk starts and periodically inside join scans,
-//! so the overshoot is bounded by one checkpoint interval, not by a round).
+//! SCC boundaries, after each rule application and periodically inside join
+//! scans, so the overshoot is bounded by one checkpoint interval, not by a
+//! round).
 
 use std::time::{Duration, Instant};
 
@@ -299,8 +300,7 @@ fn facade_guarded_entry_points_agree_with_unguarded() {
             .with_param("personId", person)
             .with_param("maxDate", 20_200_101i64);
         let compiled = raqlet.compile(query.cypher, &options).unwrap();
-        let mut prepared =
-            PreparedDatabase::with_engine(db.clone(), DatalogEngine::with_threads(1));
+        let mut prepared = PreparedDatabase::new(db.clone());
         compiled.execute_datalog_prepared(&mut prepared).unwrap();
 
         let plain = compiled.execute_datalog_prepared(&mut prepared).unwrap();

@@ -304,7 +304,7 @@ fn one_batch_per_strategy_has_pinned_cost() {
         ("dred-bail-out", tc_program(), "tc", edges(&cycle), cut, stats(1, 1, 1, 8, 12, 68), 20),
     ];
     for (label, program, output, db, delta, expected, checkpoints) in cases {
-        let mut prepared = PreparedDatabase::with_engine(db, DatalogEngine::with_threads(1));
+        let mut prepared = PreparedDatabase::new(db);
         prepared.install_view(&program, output).unwrap();
         let mut counted = prepared.clone();
         let hits = count_checkpoints(|g| counted.apply_delta_guarded(delta.clone(), g).map(|_| ()))

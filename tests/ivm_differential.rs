@@ -15,8 +15,6 @@
 //! negation-seeded joins), `@min` lattice shortest paths, aggregation, and
 //! the LDBC corpus's recursive reachability query over a generated social
 //! network.
-//! The suite runs under whatever `RAQLET_THREADS` setting the environment
-//! provides; CI runs it pinned to one thread and auto-threaded.
 
 use raqlet::{Database, DatalogEngine, EdbDelta, PreparedDatabase, Value};
 use raqlet_common::SplitMix64;

@@ -295,7 +295,7 @@ fn one_edge_insert_derives_a_fifth_of_a_warm_recompute() {
     let options = CompileOptions::new(OptLevel::Full).with_param("personId", person);
     let compiled = raqlet.compile(raqlet_ldbc::REACHABILITY.cypher, &options).unwrap();
 
-    let mut maintained = PreparedDatabase::with_engine(db.clone(), DatalogEngine::with_threads(1));
+    let mut maintained = PreparedDatabase::new(db.clone());
     maintained.install_view(compiled.dlir(), &compiled.output).unwrap();
     let mut delta = EdbDelta::new();
     delta.insert(
@@ -309,7 +309,7 @@ fn one_edge_insert_derives_a_fifth_of_a_warm_recompute() {
     );
     let insert = maintained.apply_delta(delta).unwrap();
 
-    let mut warm = PreparedDatabase::with_engine(db, DatalogEngine::with_threads(1));
+    let mut warm = PreparedDatabase::new(db);
     compiled.execute_datalog_prepared(&mut warm).unwrap();
     compiled.execute_datalog_prepared(&mut warm).unwrap();
     let recompute = warm.last_stats().clone();
