@@ -1,57 +1,55 @@
-//! Parallel evaluation must be result-identical to sequential evaluation.
+//! Datalog evaluation must not depend on the thread that runs it.
 //!
-//! The Datalog engine partitions each rule's driving delta across worker
-//! threads (`DatalogConfig::threads`); because per-worker tuple buffers are
-//! merged in chunk order and deduplicated through the head relation's staged
-//! set, the computed fixpoint must not depend on the thread count or on
-//! where the partition boundaries fall. These suites pin that across:
+//! The engine evaluates every rule application on the calling thread and
+//! keeps no global or thread-local state, so a program evaluated on the
+//! test's own thread and the same program evaluated by several threads at
+//! once over one shared `Database` must reach the same fixpoint by the same
+//! work. These suites pin that across:
 //!
-//! * the LDBC SNB workload (compiled recursive/optimized queries),
-//! * PRNG-driven random-graph programs (the property-test generators),
-//! * negation + stratification and lattice (shortest-path) programs,
-//! * **round-zero** applications — since PR 4 the full-arena scan of a
-//!   rule's driving atom is partitioned exactly like a delta, so even
-//!   non-recursive programs split across workers.
-//!
-//! A `parallel_threshold` of 1 forces the parallel path even on tiny deltas
-//! so partition boundaries land everywhere, and `EvalStats::parallel_tasks`
-//! asserts that worker threads genuinely ran.
+//! * PRNG-driven random-graph transitive closures (the base rule of `tc` is
+//!   a pure round-zero application, the recursive rule is delta-driven),
+//! * negation + stratification, mutual recursion and lattice (shortest-path)
+//!   programs.
 
-use raqlet::{CompileOptions, Database, DatalogConfig, DatalogEngine, OptLevel, Raqlet, Value};
+use raqlet::{Database, DatalogEngine, Value};
 use raqlet_common::SplitMix64;
 use raqlet_dlir::{Atom, BodyElem, DlExpr, DlirProgram, LatticeMerge, Rule, Term};
 
-/// The sweep: sequential plus 2/4/8 workers, all forced through the
-/// partitioned path.
-const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
+/// How many threads evaluate the program at the same time, besides the
+/// test's own thread.
+const CONCURRENT_EVALUATORS: usize = 3;
 
-fn engine_with_threads(threads: usize) -> DatalogEngine {
-    DatalogEngine::with_config(
-        DatalogConfig::default().with_threads(threads).with_parallel_threshold(1),
-    )
-}
-
-/// Evaluate `program` at every thread count and assert the sorted `output`
-/// tuples (and the derivation counters) never change.
+/// Evaluate `program` on the calling thread, then on
+/// [`CONCURRENT_EVALUATORS`] threads at once over the same `db`, and assert
+/// the sorted `output` tuples and the work counters never change.
 fn assert_thread_invariant(program: &DlirProgram, db: &Database, output: &str, label: &str) {
-    let sequential = engine_with_threads(1).evaluate(program, db).unwrap();
-    let expected = sequential.relation(output).sorted();
-    for &threads in &THREAD_COUNTS[1..] {
-        let parallel = engine_with_threads(threads).evaluate(program, db).unwrap();
+    let reference = DatalogEngine::new().evaluate(program, db).unwrap();
+    let expected = reference.relation(output).sorted();
+    let concurrent: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CONCURRENT_EVALUATORS)
+            .map(|_| scope.spawn(|| DatalogEngine::new().evaluate(program, db).unwrap()))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("evaluator thread panicked")).collect()
+    });
+    for (worker, result) in concurrent.iter().enumerate() {
         assert_eq!(
             expected,
-            parallel.relation(output).sorted(),
-            "{label}: {threads}-thread result diverged from sequential"
+            result.relation(output).sorted(),
+            "{label}: result on evaluator thread {worker} diverged from the calling thread"
         );
-        // The same rule applications fire and the same tuples are derived —
-        // partitioning must not change the work, only who does it.
+        // The same rule applications fire and the same tuples are derived:
+        // the thread must change neither the answer nor the work.
         assert_eq!(
-            sequential.stats.rule_applications, parallel.stats.rule_applications,
-            "{label}: rule applications changed at {threads} threads"
+            reference.stats.iterations, result.stats.iterations,
+            "{label}: iterations changed on evaluator thread {worker}"
         );
         assert_eq!(
-            sequential.stats.tuples_derived, parallel.stats.tuples_derived,
-            "{label}: derived-tuple count changed at {threads} threads"
+            reference.stats.rule_applications, result.stats.rule_applications,
+            "{label}: rule applications changed on evaluator thread {worker}"
+        );
+        assert_eq!(
+            reference.stats.tuples_derived, result.stats.tuples_derived,
+            "{label}: derived-tuple count changed on evaluator thread {worker}"
         );
     }
 }
@@ -86,45 +84,9 @@ fn random_edges(rng: &mut SplitMix64, nodes: i64, max_edges: i64) -> Vec<(i64, i
 }
 
 #[test]
-fn parallel_path_actually_engages() {
-    let edges: Vec<(i64, i64)> = (0..64).map(|i| (i, i + 1)).collect();
-    let result = engine_with_threads(4).evaluate(&tc_program(), &edges_to_db(&edges)).unwrap();
-    assert!(
-        result.stats.parallel_tasks > 0,
-        "threshold 1 with 4 threads must spawn workers: {:?}",
-        result.stats
-    );
-    // And a sequential engine never spawns any.
-    let seq = engine_with_threads(1).evaluate(&tc_program(), &edges_to_db(&edges)).unwrap();
-    assert_eq!(seq.stats.parallel_tasks, 0);
-}
-
-#[test]
-fn round_zero_parallelism_engages_for_non_recursive_programs() {
-    // hop2 has no recursion at all: every rule application is a round-zero
-    // application, so any parallel task proves the round-zero path splits.
-    let mut p = DlirProgram::default();
-    p.add_rule(Rule::new(
-        Atom::with_vars("hop2", &["x", "z"]),
-        vec![atom("edge", &["x", "y"]), atom("edge", &["y", "z"])],
-    ));
-    p.add_output("hop2");
-    let edges: Vec<(i64, i64)> = (0..48).map(|i| (i, i + 1)).collect();
-    let db = edges_to_db(&edges);
-    let result = engine_with_threads(4).evaluate(&p, &db).unwrap();
-    assert!(
-        result.stats.parallel_tasks > 0,
-        "round-zero applications must partition the driving scan: {:?}",
-        result.stats
-    );
-    assert_thread_invariant(&p, &db, "hop2", "round-zero hop2");
-}
-
-#[test]
 fn round_zero_parallelism_is_thread_invariant_on_random_graphs() {
-    // Mixed round-zero + delta-driven work (the base rule of tc is pure
-    // round zero) across random graphs; threshold 1 forces both paths to
-    // split at every thread count.
+    // Mixed round-zero and delta-driven work: the base rule of tc is a pure
+    // round-zero application.
     let mut rng = SplitMix64::seed_from_u64(0x2E20);
     for case in 0..12 {
         let edges = random_edges(&mut rng, 20, 80);
@@ -193,8 +155,7 @@ fn mutual_recursion_is_thread_invariant() {
 #[test]
 fn lattice_shortest_paths_are_thread_invariant() {
     // Weighted-by-hop shortest distances with @min lattice merges, on cyclic
-    // random graphs — the trickiest merge path, since lattice inserts
-    // publish mid-round.
+    // random graphs — lattice inserts publish mid-round.
     let mut p = DlirProgram::default();
     p.add_rule(Rule::new(
         Atom::with_vars("dist", &["s", "d", "l"]),
@@ -224,46 +185,4 @@ fn lattice_shortest_paths_are_thread_invariant() {
         let db = edges_to_db(&edges);
         assert_thread_invariant(&p, &db, "dist", &format!("lattice case {case}"));
     }
-}
-
-#[test]
-fn ldbc_workload_is_thread_invariant() {
-    let network = raqlet_ldbc::generate(&raqlet_ldbc::GeneratorConfig { scale: 0.25, seed: 42 });
-    let db = raqlet_ldbc::to_database(&network);
-    let person = network.sample_person();
-    let raqlet = Raqlet::from_pg_schema(raqlet_ldbc::SNB_PG_SCHEMA).unwrap();
-
-    for query in [raqlet_ldbc::REACHABILITY, raqlet_ldbc::CQ2, raqlet_ldbc::SQ1] {
-        for level in [OptLevel::None, OptLevel::Full] {
-            let options = CompileOptions::new(level)
-                .with_param("personId", person)
-                .with_param("otherId", person + 7)
-                .with_param("maxDate", 20_200_101i64)
-                .with_param("firstName", "Alice");
-            let compiled = raqlet.compile(query.cypher, &options).unwrap();
-            let expected =
-                engine_with_threads(1).run_output(compiled.dlir(), &db, "Return").unwrap().sorted();
-            for &threads in &THREAD_COUNTS[1..] {
-                let got = engine_with_threads(threads)
-                    .run_output(compiled.dlir(), &db, "Return")
-                    .unwrap()
-                    .sorted();
-                assert_eq!(
-                    expected, got,
-                    "{} at {level:?} diverged with {threads} threads",
-                    query.name
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn raqlet_threads_env_parses_and_auto_detects() {
-    // `DatalogConfig::effective_threads` must resolve explicit counts as-is
-    // and fall back to a positive auto-detected count at 0. (The env-var
-    // path itself is exercised by the CI matrix, which runs this whole
-    // suite under RAQLET_THREADS=1 and unset.)
-    assert_eq!(DatalogConfig::default().with_threads(3).effective_threads(), 3);
-    assert!(DatalogConfig::default().effective_threads() >= 1);
 }
